@@ -1,11 +1,11 @@
 (* Sequential vs parallel exhaustive exploration, as a machine-readable
-   perf record: every instance is explored with [Engine.explore] and with
-   [Engine.explore_par] at several worker counts, the verdicts and
-   execution counts are asserted identical (the determinism contract —
-   the process aborts on any divergence), and the timings land in the
-   report.  Speedups are whatever the host provides: on a single-core
-   container [explore_par] pays its coordination overhead and reports
-   <= 1x; the counts still must match exactly.
+   perf record: every instance is explored with [Engine.explore] and, with
+   its traits forced opaque, with [Engine.verify] at several worker counts;
+   the verdicts and execution counts are asserted identical (the
+   determinism contract — the process aborts on any divergence), and the
+   timings land in the report.  Speedups are whatever the host provides: on
+   a single core the parallel walker pays its coordination overhead and
+   reports <= 1x; the counts still must match exactly.
 
    The core is a library function so bench/explorebench.exe and
    `wbctl bench` drive the same instances; [fast] trims the suite (fewer
@@ -51,20 +51,21 @@ let instance rep ~reps ~jobs_list ?min_ratio ~name ~protocol ~graph ~check () =
     | Ok r -> r
     | Error (`Limit _) -> failwith (name ^ ": sequential exploration hit the limit")
   in
+  let enumerated = P.Protocol.opaque protocol in
   let par_rows =
     List.map
       (fun jobs ->
         let par, par_s =
-          best_of reps (fun () -> P.Engine.explore_par_packed ~jobs protocol graph check)
+          best_of reps (fun () -> P.Engine.verify_packed ~jobs enumerated graph check)
         in
         (match par with
         | Error (`Limit _) -> failwith (name ^ ": parallel exploration hit the limit")
-        | Ok (ok, count) ->
-          if ok <> seq_ok then failwith (name ^ ": parallel verdict diverged");
-          if seq_ok && count <> seq_count then
+        | Ok v ->
+          if v.P.Engine.valid <> seq_ok then failwith (name ^ ": parallel verdict diverged");
+          if seq_ok && v.P.Engine.finals <> seq_count then
             failwith
-              (Printf.sprintf "%s: parallel execution count diverged (%d vs %d)" name count
-                 seq_count));
+              (Printf.sprintf "%s: parallel execution count diverged (%d vs %d)" name
+                 v.P.Engine.finals seq_count));
         (jobs, par_s))
       jobs_list
   in

@@ -509,10 +509,9 @@ let explore_cmd =
       & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Split the schedule tree over N worker domains.  The verdict and \
-             execution count are identical to the sequential exploration; \
-             incompatible with --sample-trace (parallel workers interleave \
-             events with no meaningful order)")
+            "Split the exploration over N worker domains.  The printed result \
+             is identical at every N; incompatible with --sample-trace \
+             (parallel workers interleave events with no meaningful order)")
   in
   let trace_out_arg =
     Arg.(
@@ -522,7 +521,7 @@ let explore_cmd =
           ~doc:
             "Write a merged per-domain Chrome trace of the exploration to $(docv): each worker \
              streams spans into its own flight-recorder ring, stitched into one Catapult file \
-             (routes through the parallel explorer even at --jobs 1)")
+             (forces plain schedule enumeration, like --no-dedup)")
   in
   let no_dedup_arg =
     Arg.(
@@ -537,7 +536,7 @@ let explore_cmd =
     Arg.(
       value & flag
       & info [ "quiet" ]
-          ~doc:"Print only the verdict line — identical across the dedup and --no-dedup paths")
+          ~doc:"Print only the verdict line — identical with and without --no-dedup")
   in
   let stats_arg =
     Arg.(
@@ -590,10 +589,6 @@ let explore_cmd =
           | P.Engine.Success a -> P.Problems.valid_answer problem g a
           | _ -> false
         in
-        (* Tracing observes individual executions, so it routes through the
-           enumerative explorers; the canonical explorer visits each
-           configuration once and has no per-execution event stream. *)
-        let naive = no_dedup || sample <> None || Option.is_some shards in
         let print_stats () =
           if stats then begin
             let c name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
@@ -627,43 +622,45 @@ let explore_cmd =
                     rings))
           | _ -> ()
         in
-        if naive then begin
-          let result =
-            if jobs > 1 || Option.is_some shards then
-              P.Engine.explore_par_packed ?shards ~jobs e.protocol g check
-            else P.Engine.explore_packed ?trace:sink e.protocol g check
-          in
-          Option.iter Obs.Trace.close sink;
-          Option.iter close_out oc;
-          match result with
-          | Error (`Limit limit) ->
-            Printf.eprintf "wbctl: exploration exceeded the execution limit (%d)\n" limit;
-            exit 2
-          | Ok (ok, count) ->
-            if quiet then Printf.printf "all valid: %b\n" ok
-            else Printf.printf "schedules explored: %d   all valid: %b\n" count ok;
-            finish_trace ();
-            print_stats ();
-            write_metrics_json metrics_json
-        end
-        else begin
-          match P.Engine.verify_packed ~jobs e.protocol g check with
-          | Error (`Limit limit) ->
-            Printf.eprintf "wbctl: exploration exceeded the configuration limit (%d)\n" limit;
-            exit 2
-          | Ok v ->
-            Printf.printf "all valid: %b\n" v.P.Engine.valid;
-            if not quiet then
-              if v.P.Engine.dedup then
-                Printf.printf
-                  "configurations: %d interior + %d final   dedup hits: %d   orbit collapses: %d \
-                   (|Aut| = %d)\n"
-                  v.P.Engine.states v.P.Engine.finals v.P.Engine.dedup_hits
-                  v.P.Engine.orbit_collapses v.P.Engine.group_order
-              else Printf.printf "schedules explored: %d (no confluence promise)\n" v.P.Engine.finals;
-            print_stats ();
-            write_metrics_json metrics_json
-        end)
+        let result =
+          match sink with
+          | Some _ ->
+            (* The sampled trace is the sequential explorer's depth-first
+               event stream; it stops at the first failing schedule. *)
+            let r = P.Engine.explore_packed ?trace:sink e.protocol g check in
+            Option.iter Obs.Trace.close sink;
+            Option.iter close_out oc;
+            Result.map
+              (fun (valid, finals) ->
+                { P.Engine.valid; states = 0; finals; dedup_hits = 0; orbit_collapses = 0;
+                  steals = 0; group_order = 1; dedup = false })
+              r
+          | None ->
+            (* Tracing observes individual executions, so it forces plain
+               enumeration like --no-dedup: the canonical explorer visits
+               each configuration once. *)
+            let enumerate = no_dedup || Option.is_some shards in
+            let protocol = if enumerate then P.Protocol.opaque e.protocol else e.protocol in
+            let limit = if enumerate then Some 1_000_000 else None in
+            P.Engine.verify_packed ?limit ~jobs ?shards protocol g check
+        in
+        match result with
+        | Error (`Limit limit) ->
+          Printf.eprintf "wbctl: exploration exceeded its limit (%d)\n" limit;
+          exit 2
+        | Ok v ->
+          Printf.printf "all valid: %b\n" v.P.Engine.valid;
+          if not quiet then
+            if v.P.Engine.dedup then
+              Printf.printf
+                "configurations: %d interior + %d final   dedup hits: %d   orbit collapses: %d \
+                 (|Aut| = %d)\n"
+                v.P.Engine.states v.P.Engine.finals v.P.Engine.dedup_hits
+                v.P.Engine.orbit_collapses v.P.Engine.group_order
+            else Printf.printf "schedules explored: %d\n" v.P.Engine.finals;
+          finish_trace ();
+          print_stats ();
+          write_metrics_json metrics_json)
   in
   Cmd.v
     (Cmd.info "explore"

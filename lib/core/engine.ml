@@ -62,7 +62,6 @@ let m_table_used =
    every Engine.Make instantiation like the metrics above. *)
 let prof_run = Obs.Prof.site "engine.run"
 let prof_worker = Obs.Prof.site "explore.worker"
-let prof_task = Obs.Prof.site "explore.task"
 
 exception Limit_exceeded
 
@@ -113,7 +112,7 @@ module Make (P : Protocol.S) = struct
   (* Depth-first enumeration of every adversarial schedule over one live
      machine, snapshot/restore at each choice point.  [List.for_all]
      short-circuits on the first failing subtree, so the execution count on
-     a failing check depends on candidate order — [explore_par] never
+     a failing check depends on candidate order — [verify] never
      short-circuits; see docs/EXPLORATION.md. *)
   let explore ?(limit = 1_000_000) ?trace g check =
     let m = M.init ?trace g in
@@ -147,409 +146,262 @@ module Make (P : Protocol.S) = struct
     | Ok r -> r
     | Error (`Limit _) -> failwith "Engine.explore: execution limit exceeded"
 
-  (* Exhaustive walk of the subtree under the machine's current state with
-     {e no} short-circuit: the visit count is the subtree size, independent
-     of check results and of how subtrees are distributed over workers. *)
-  let rec walk_subtree m complete =
-    match M.step m with
-    | `Write _ -> walk_subtree m complete
-    | `Done run ->
-      let ok = complete run in
-      (ok, 1)
-    | `Choices candidates ->
-      List.fold_left
-        (fun (ok, count) v ->
-          let saved = M.snapshot m in
-          M.pick m v;
-          let ok', count' = walk_subtree m complete in
-          M.restore m saved;
-          (ok && ok', count + count'))
-        (true, 0) candidates
-
-  let explore_par ?(limit = 1_000_000) ?shards ~jobs g check =
-    if jobs < 1 then invalid_arg "Engine.explore_par: jobs must be >= 1";
-    (match shards with
-    | Some a when Array.length a <> jobs ->
-      invalid_arg "Engine.explore_par: shards array length must equal jobs"
-    | _ -> ());
-    let total = Atomic.make 0 in
-    let over = Atomic.make false in
-    let complete run =
-      let seen = 1 + Atomic.fetch_and_add total 1 in
-      Obs.Metrics.incr m_explore_execs;
-      if seen > limit then begin
-        Atomic.set over true;
-        raise Limit_exceeded
-      end;
-      check run
-    in
-    (* Replay a pick-prefix on a fresh machine, stopping at the choice
-       point it leads to.  Prefixes always end strictly before a [`Done],
-       so replay cannot run off the end of the execution. *)
-    let replay ?trace ?span ?salt prefix =
-      let m = M.init ?trace ?span ?salt g in
-      let rec feed picks =
-        match (M.step m, picks) with
-        | `Write _, _ -> feed picks
-        | `Choices _, v :: rest ->
-          M.pick m v;
-          feed rest
-        | `Choices candidates, [] -> `Choices (m, candidates)
-        | `Done run, [] -> `Done run
-        | `Done _, _ :: _ -> assert false
-      in
-      feed prefix
-    in
-    (* Sequential breadth-first prefix expansion: split the schedule tree
-       into enough independent subtrees to keep [jobs] workers busy.
-       Executions that complete during expansion are checked inline. *)
-    let prefix_results = ref [] in
-    let expand_one prefix =
-      match replay prefix with
-      | `Done run -> (
-        match complete run with
-        | ok ->
-          prefix_results := ok :: !prefix_results;
-          []
-        | exception Limit_exceeded -> [])
-      | `Choices (_, candidates) -> List.map (fun v -> prefix @ [ v ]) candidates
-    in
-    let target = jobs * 4 in
-    (* The frontier size is threaded through the recursion (it was a
-       List.length per level, O(frontier) each expansion). *)
-    let rec grow depth count frontier =
-      if Atomic.get over || depth >= 8 || count >= target then frontier
-      else begin
-        let next_count = ref 0 in
-        let next =
-          List.concat_map
-            (fun p ->
-              let children = expand_one p in
-              next_count := !next_count + List.length children;
-              children)
-            frontier
-        in
-        match next with
-        | [] -> []
-        | next -> grow (depth + 1) !next_count next
-      end
-    in
-    let items = Array.of_list (grow 0 1 [ [] ]) in
-    let results = Array.make (Array.length items) (true, 0) in
-    (* Per-domain Chase–Lev deques, seeded round-robin before any worker
-       spawns (Domain.spawn publishes the pushes).  An idle worker steals
-       from its neighbours instead of serialising every tiny task through
-       one shared counter; with static items the deques mostly give
-       owner-local LIFO traversal, and [outstanding] is the termination
-       barrier.  The per-item result slot keeps the merge deterministic
-       whichever domain ran the item. *)
-    let deques = Array.init jobs (fun _ -> Wb_support.Deque.create ()) in
-    Array.iteri (fun i prefix -> Wb_support.Deque.push deques.(i mod jobs) (i, prefix)) items;
-    let outstanding = Atomic.make (Array.length items) in
-    (* Worker [k] streams into its own ring (single-writer, so the
-       non-thread-safe Ring is fine) under a per-domain "worker" root span;
-       every replayed machine then roots its "run" span below it.  The
-       prefix-expansion phase above runs untraced — its completions are a
-       jobs-independent implementation detail, not a worker's work. *)
-    let worker k =
-      let dq = deques.(k) in
-      let trace = Option.map (fun a -> Obs.Trace.Ring.sink a.(k)) shards in
-      let wroot =
-        match trace with
-        | None -> None
-        | Some tr ->
-          let minter = Obs.Span.minter ~seed:(k + 1) () in
-          Some (tr, Obs.Span.start ~attrs:[ ("domain", string_of_int k) ] minter tr "worker")
-      in
-      let span = Option.map (fun (_, s) -> Obs.Span.context s) wroot in
-      let steals = ref 0 in
-      let process (i, prefix) =
-        (* The item index is globally unique across workers, so it salts
-           each replayed machine's minter below the shared worker span. *)
-        match replay ?trace ?span ~salt:(i + 1) prefix with
-        | `Done _ -> assert false
-        | `Choices (m, _) ->
-          results.(i) <- Obs.Prof.phase prof_task (fun () -> walk_subtree m complete)
-      in
-      let rec loop () =
-        if not (Atomic.get over) then
-          match Wb_support.Deque.pop dq with
-          | Some item -> run_item item
-          | None -> scan 1
-      and run_item item =
-        (match process item with () -> () | exception Limit_exceeded -> ());
-        Atomic.decr outstanding;
-        loop ()
-      and scan d =
-        if d >= jobs then begin
-          if Atomic.get outstanding > 0 && not (Atomic.get over) then begin
-            Domain.cpu_relax ();
-            scan 1
-          end
-        end
-        else
-          match Wb_support.Deque.steal deques.((k + d) mod jobs) with
-          | Some item ->
-            incr steals;
-            run_item item
-          | None -> scan (d + 1)
-      in
-      Obs.Prof.phase prof_worker loop;
-      if !steals > 0 then Obs.Metrics.add m_steals !steals;
-      match wroot with None -> () | Some (tr, s) -> Obs.Span.finish tr s
-    in
-    let domains = List.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
-    worker 0;
-    List.iter Domain.join domains;
-    if Atomic.get over then Error (`Limit limit)
-    else begin
-      (* Merge in deterministic order: prefix-phase completions first, then
-         the work items by index.  [&&] over booleans and [+] over counts
-         commute, so the verdict and count are independent of [jobs]. *)
-      let ok0 = List.for_all Fun.id (List.rev !prefix_results) in
-      let ok, count =
-        Array.fold_left
-          (fun (ok, count) (ok', count') -> (ok && ok', count + count'))
-          (ok0, List.length !prefix_results)
-          results
-      in
-      Ok (ok, count)
-    end
-
-  (* Canonical exploration (ISSUE 9): depth-first over {e configurations}
-     rather than schedules.  Sound only under the protocol's declared
-     {!Protocol.Traits}: confluence lets two schedule prefixes reaching the
-     same {!M.digest} merge, and the optional symmetry promise lets a
-     sequential first phase prune candidate writes to stabilizer-orbit
-     representatives (prefix lex-leader: at a prefix whose stabilizer
-     subgroup is [H], a candidate [v] survives iff it is minimal in its
-     [H]-orbit; the child prefix keeps the point stabilizer of [v]).  Once
-     the stabilizer is trivial no further symmetry pruning is possible, so
-     running phase 1 sequentially loses nothing.
+  (* Exhaustive exploration on one parallel walker.  Under the protocol's
+     declared {!Protocol.Traits} it walks {e configurations} rather than
+     schedules: confluence lets two schedule prefixes reaching the same
+     {!M.digest} merge, and the optional symmetry promise lets a sequential
+     first phase prune candidate writes to stabilizer-orbit representatives
+     (prefix lex-leader: at a prefix whose stabilizer subgroup is [H], a
+     candidate [v] survives iff it is minimal in its [H]-orbit; the child
+     prefix keeps the point stabilizer of [v]).  Once the stabilizer is
+     trivial no further symmetry pruning is possible, so running phase 1
+     sequentially loses nothing.  Without a confluence promise on [g] the
+     same walker enumerates: there is no table, every configuration is new,
+     every completed execution is a final and the limit counts executions.
 
      Determinism across [jobs]: a configuration is claimed in the shared
      {!Wb_support.Cset} at {e discovery}, before expansion, so the claimed
      set is exactly the reachability closure of the pruned schedule tree —
      independent of which worker expands what and of the deque spill
-     heuristic.  [states], [finals], [dedup_hits] and the verdict are
+     heuristic.  Enumeration never stops early, so it walks the whole tree
+     at any [jobs].  [states], [finals], [dedup_hits] and the verdict are
      therefore jobs-independent; [steals] alone is scheduling telemetry. *)
-  let verify ?(limit = 250_000) ?(symmetry = true) ?(jobs = 1) g check =
+  let verify ?(limit = 250_000) ?(jobs = 1) ?shards g check =
     if jobs < 1 then invalid_arg "Engine.verify: jobs must be >= 1";
-    if not (P.traits.Protocol.Traits.confluent g) then
-      (* No confluence promise on this instance: fall back to plain
-         enumeration, reported with dedup = false. *)
-      match explore_par ~limit ~jobs g check with
-      | Error _ as e -> e
-      | Ok (ok, count) ->
-        Ok
-          {
-            valid = ok;
-            states = 0;
-            finals = count;
-            dedup_hits = 0;
-            orbit_collapses = 0;
-            steals = 0;
-            group_order = 1;
-            dedup = false;
-          }
-    else begin
-      let group =
-        if not symmetry then None
-        else
-          match P.traits.Protocol.Traits.symmetry_fixed with
-          | None -> None
-          | Some fixed_of -> (
-            match Wb_graph.Auto.automorphisms ~fixed:(fixed_of g) g with
-            | Some a when Array.length a > 1 -> Some a
-            | _ -> None)
-      in
-      let table = Wb_support.Cset.create ~limit () in
-      let states = Atomic.make 0 in
-      let finals = Atomic.make 0 in
-      let hits = Atomic.make 0 in
-      let collapses = ref 0 in
-      let valid = Atomic.make true in
-      let over = Atomic.make false in
-      let claim d =
-        match Wb_support.Cset.add table d with
+    (match shards with
+    | Some a when Array.length a <> jobs ->
+      invalid_arg "Engine.verify: shards array length must equal jobs"
+    | _ -> ());
+    let table =
+      if P.traits.Protocol.Traits.confluent g then Some (Wb_support.Cset.create ~limit ())
+      else None
+    in
+    let group =
+      match (table, P.traits.Protocol.Traits.symmetry_fixed) with
+      | Some _, Some fixed_of -> (
+        match Wb_graph.Auto.automorphisms ~fixed:(fixed_of g) g with
+        | Some a when Array.length a > 1 -> Some a
+        | _ -> None)
+      | _ -> None
+    in
+    let states = Atomic.make 0 in
+    let finals = Atomic.make 0 in
+    let hits = Atomic.make 0 in
+    let collapses = ref 0 in
+    let valid = Atomic.make true in
+    let over = Atomic.make false in
+    let claim m =
+      match table with
+      | None -> true
+      | Some t -> (
+        match Wb_support.Cset.add t (M.digest m) with
         | `Added -> true
         | `Present ->
           Atomic.incr hits;
           false
         | `Full ->
           Atomic.set over true;
-          false
-      in
-      (* Drive a machine from a choice resolution (or from init) to its next
-         stable point; configurations are only digested there. *)
-      let rec settle m =
-        match M.step m with
-        | `Write _ -> settle m
-        | (`Choices _ | `Done _) as r -> r
-      in
-      let complete_final m run =
-        if claim (M.digest m) then begin
-          Atomic.incr finals;
+          false)
+    in
+    (* Interior configurations are counted only in canonical mode. *)
+    let claim_state m =
+      match table with
+      | None -> true
+      | Some _ ->
+        let fresh = claim m in
+        if fresh then Atomic.incr states;
+        fresh
+    in
+    (* Drive a machine from a choice resolution (or from init) to its next
+       stable point; configurations are only digested there. *)
+    let rec settle m =
+      match M.step m with
+      | `Write _ -> settle m
+      | (`Choices _ | `Done _) as r -> r
+    in
+    (* Finals can only pass [limit] without a table: in canonical mode the
+       table fills first. *)
+    let complete_final m run =
+      if claim m then
+        if Atomic.fetch_and_add finals 1 >= limit then Atomic.set over true
+        else begin
           Obs.Metrics.incr m_explore_execs;
           if not (check run) then Atomic.set valid false
         end
-      in
-      let m0 = M.init g in
-      let seeds = ref [] in
-      (* Phase 1 (sequential): expand while the stabilizer is nontrivial,
-         pruning candidates to orbit minima.  Prefixes whose stabilizer has
-         collapsed to the identity become seeds for the parallel phase. *)
-      let rec grow_sym stab rev_path =
-        match M.step m0 with
-        | `Write _ -> assert false (* settled before entry *)
-        | `Done _ -> assert false (* finals are claimed before recursing *)
-        | `Choices candidates ->
-          let kept =
-            List.filter
-              (fun v ->
-                Array.fold_left (fun acc p -> min acc p.(v)) v stab = v)
-              candidates
-          in
-          collapses := !collapses + (List.length candidates - List.length kept);
-          List.iter
+    in
+    let m0 = M.init g in
+    let seeds = ref [] in
+    (* Phase 1 (sequential): expand while the stabilizer is nontrivial,
+       pruning candidates to orbit minima.  Prefixes whose stabilizer has
+       collapsed to the identity become seeds for the parallel phase. *)
+    let rec grow_sym stab rev_path =
+      match M.step m0 with
+      | `Write _ -> assert false (* settled before entry *)
+      | `Done _ -> assert false (* finals are claimed before recursing *)
+      | `Choices candidates ->
+        let kept =
+          List.filter
             (fun v ->
-              if not (Atomic.get over) then begin
-                let saved = M.snapshot m0 in
-                M.pick m0 v;
-                (match settle m0 with
-                | `Done run -> complete_final m0 run
-                | `Choices _ ->
-                  if claim (M.digest m0) then begin
-                    Atomic.incr states;
-                    let stab' = Array.of_list (List.filter (fun p -> p.(v) = v) (Array.to_list stab)) in
-                    if Array.length stab' > 1 then grow_sym stab' (v :: rev_path)
-                    else seeds := List.rev (v :: rev_path) :: !seeds
-                  end);
-                M.restore m0 saved
-              end)
-            kept
-      in
-      (match settle m0 with
-      | `Done run -> complete_final m0 run
-      | `Choices _ ->
-        if claim (M.digest m0) then begin
-          Atomic.incr states;
-          match group with
-          | Some stab -> grow_sym stab []
-          | None -> seeds := [ [] ]
-        end);
-      let seed_list = List.rev !seeds in
-      let steals_total = Atomic.make 0 in
-      (* Phase 2 (parallel): plain configuration-dedup DFS from each seed.
-         Workers expand depth-first on their own machine, spilling freshly
-         claimed configurations to their deque when it runs low so idle
-         workers can steal them. *)
-      if (not (Atomic.get over)) && seed_list <> [] then begin
-        let deques = Array.init jobs (fun _ -> Wb_support.Deque.create ()) in
-        List.iteri
-          (fun i prefix -> Wb_support.Deque.push deques.(i mod jobs) prefix)
-          seed_list;
-        let outstanding = Atomic.make (List.length seed_list) in
-        let worker k =
-          let dq = deques.(k) in
-          let steals = ref 0 in
-          let m = M.init g in
-          let root = M.snapshot m in
-          let feed prefix =
-            M.restore m root;
-            let rec go picks =
-              match (M.step m, picks) with
-              | `Write _, _ -> go picks
-              | `Choices _, v :: rest ->
-                M.pick m v;
-                go rest
-              | `Choices _, [] -> ()
-              | `Done _, _ -> assert false
-            in
-            go prefix
-          in
-          (* Expand the claimed configuration under the machine's current
-             choice point.  Children are claimed at discovery; a claimed
-             child is either recursed into or spilled for stealing. *)
-          let rec expand rev_path =
-            match M.step m with
-            | `Write _ | `Done _ -> assert false
-            | `Choices candidates ->
-              List.iter
-                (fun v ->
-                  if not (Atomic.get over) then begin
-                    let saved = M.snapshot m in
-                    M.pick m v;
-                    (match settle m with
-                    | `Done run -> complete_final m run
-                    | `Choices _ ->
-                      if claim (M.digest m) then begin
-                        Atomic.incr states;
-                        if jobs > 1 && Wb_support.Deque.size dq < 16 then begin
-                          Atomic.incr outstanding;
-                          Wb_support.Deque.push dq (List.rev (v :: rev_path))
-                        end
-                        else expand (v :: rev_path)
-                      end);
-                    M.restore m saved
-                  end)
-                candidates
-          in
-          let process prefix =
-            feed prefix;
-            expand (List.rev prefix)
-          in
-          let rec loop () =
-            if not (Atomic.get over) then
-              match Wb_support.Deque.pop dq with
-              | Some prefix -> run_item prefix
-              | None -> scan 1
-          and run_item prefix =
-            process prefix;
-            Atomic.decr outstanding;
-            loop ()
-          and scan d =
-            if d >= jobs then begin
-              if Atomic.get outstanding > 0 && not (Atomic.get over) then begin
-                Domain.cpu_relax ();
-                scan 1
-              end
-            end
-            else
-              match Wb_support.Deque.steal deques.((k + d) mod jobs) with
-              | Some prefix ->
-                incr steals;
-                run_item prefix
-              | None -> scan (d + 1)
-          in
-          Obs.Prof.phase prof_worker loop;
-          if !steals > 0 then Atomic.fetch_and_add steals_total !steals |> ignore
+              Array.fold_left (fun acc p -> min acc p.(v)) v stab = v)
+            candidates
         in
-        let domains = List.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
-        worker 0;
-        List.iter Domain.join domains
-      end;
-      let steals = Atomic.get steals_total in
-      Obs.Metrics.add m_dedup_hits (Atomic.get hits);
-      Obs.Metrics.add m_orbit !collapses;
-      Obs.Metrics.add m_states (Atomic.get states);
-      if steals > 0 then Obs.Metrics.add m_steals steals;
-      Obs.Metrics.set m_table_slots (Wb_support.Cset.capacity table);
-      Obs.Metrics.set m_table_used (Wb_support.Cset.cardinal table);
-      if Atomic.get over then Error (`Limit (Wb_support.Cset.limit table))
-      else
-        Ok
-          {
-            valid = Atomic.get valid;
-            states = Atomic.get states;
-            finals = Atomic.get finals;
-            dedup_hits = Atomic.get hits;
-            orbit_collapses = !collapses;
-            steals;
-            group_order = (match group with Some a -> Array.length a | None -> 1);
-            dedup = true;
-          }
-    end
+        collapses := !collapses + (List.length candidates - List.length kept);
+        List.iter
+          (fun v ->
+            if not (Atomic.get over) then begin
+              let saved = M.snapshot m0 in
+              M.pick m0 v;
+              (match settle m0 with
+              | `Done run -> complete_final m0 run
+              | `Choices _ ->
+                if claim_state m0 then begin
+                  let stab' = Array.of_list (List.filter (fun p -> p.(v) = v) (Array.to_list stab)) in
+                  if Array.length stab' > 1 then grow_sym stab' (v :: rev_path)
+                  else seeds := List.rev (v :: rev_path) :: !seeds
+                end);
+              M.restore m0 saved
+            end)
+          kept
+    in
+    (match settle m0 with
+    | `Done run -> complete_final m0 run
+    | `Choices _ ->
+      if claim_state m0 then
+        match group with
+        | Some stab -> grow_sym stab []
+        | None -> seeds := [ [] ]);
+    let seed_list = List.rev !seeds in
+    let steals_total = Atomic.make 0 in
+    let failure = Atomic.make None in
+    (* Phase 2 (parallel): depth-first from each seed.  Workers expand on
+       their own machine, spilling a freshly claimed configuration to their
+       deque whenever it is empty so idle workers can steal it.  Every
+       spilled item costs a replay from the root, so the deque is kept to
+       one item rather than filled. *)
+    if (not (Atomic.get over)) && seed_list <> [] then begin
+      let deques = Array.init jobs (fun _ -> Wb_support.Deque.create ()) in
+      List.iteri (fun i prefix -> Wb_support.Deque.push deques.(i mod jobs) prefix) seed_list;
+      let outstanding = Atomic.make (List.length seed_list) in
+      let worker k =
+        let dq = deques.(k) in
+        let steals = ref 0 in
+        (* Worker [k] streams into its own ring (single-writer, so the
+           non-thread-safe Ring is fine) under a per-domain "worker" root
+           span, with its machine's "run" span below it. *)
+        let trace = Option.map (fun a -> Obs.Trace.Ring.sink a.(k)) shards in
+        let wroot =
+          Option.map
+            (fun tr ->
+              let minter = Obs.Span.minter ~seed:(k + 1) () in
+              (tr, Obs.Span.start ~attrs:[ ("domain", string_of_int k) ] minter tr "worker"))
+            trace
+        in
+        let m = M.init ?trace ?span:(Option.map (fun (_, s) -> Obs.Span.context s) wroot) g in
+        let root = M.snapshot m in
+        let feed prefix =
+          M.restore m root;
+          let rec go picks =
+            match (M.step m, picks) with
+            | `Write _, _ -> go picks
+            | `Choices _, v :: rest ->
+              M.pick m v;
+              go rest
+            | `Choices _, [] -> ()
+            | `Done _, _ -> assert false
+          in
+          go prefix
+        in
+        (* Expand the claimed configuration under the machine's current
+           choice point.  Children are claimed at discovery; a claimed
+           child is either recursed into or spilled for stealing. *)
+        let rec expand rev_path =
+          match M.step m with
+          | `Write _ | `Done _ -> assert false
+          | `Choices candidates ->
+            List.iter
+              (fun v ->
+                if not (Atomic.get over) then begin
+                  let saved = M.snapshot m in
+                  M.pick m v;
+                  (match settle m with
+                  | `Done run -> complete_final m run
+                  | `Choices _ ->
+                    if claim_state m then
+                      if jobs > 1 && Wb_support.Deque.size dq = 0 then begin
+                        Atomic.incr outstanding;
+                        Wb_support.Deque.push dq (List.rev (v :: rev_path))
+                      end
+                      else expand (v :: rev_path));
+                  M.restore m saved
+                end)
+              candidates
+        in
+        let process prefix =
+          feed prefix;
+          expand (List.rev prefix)
+        in
+        let rec loop () =
+          if not (Atomic.get over) then
+            match Wb_support.Deque.pop dq with
+            | Some prefix -> run_item prefix
+            | None -> scan 1
+        (* A raising [check] or protocol hook stops every worker; the caller
+           re-raises the first exception once all have been joined. *)
+        and run_item prefix =
+          (match process prefix with
+          | () -> ()
+          | exception e ->
+            ignore (Atomic.compare_and_set failure None (Some (e, Printexc.get_raw_backtrace ())));
+            Atomic.set over true);
+          Atomic.decr outstanding;
+          loop ()
+        and scan d =
+          if d >= jobs then begin
+            if Atomic.get outstanding > 0 && not (Atomic.get over) then begin
+              Domain.cpu_relax ();
+              scan 1
+            end
+          end
+          else
+            match Wb_support.Deque.steal deques.((k + d) mod jobs) with
+            | Some prefix ->
+              incr steals;
+              run_item prefix
+            | None -> scan (d + 1)
+        in
+        Obs.Prof.phase prof_worker loop;
+        if !steals > 0 then Atomic.fetch_and_add steals_total !steals |> ignore;
+        Option.iter (fun (tr, s) -> Obs.Span.finish tr s) wroot
+      in
+      let domains = List.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
+      worker 0;
+      List.iter Domain.join domains
+    end;
+    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) (Atomic.get failure);
+    let steals = Atomic.get steals_total in
+    Obs.Metrics.add m_dedup_hits (Atomic.get hits);
+    Obs.Metrics.add m_orbit !collapses;
+    Obs.Metrics.add m_states (Atomic.get states);
+    if steals > 0 then Obs.Metrics.add m_steals steals;
+    Option.iter
+      (fun t ->
+        Obs.Metrics.set m_table_slots (Wb_support.Cset.capacity t);
+        Obs.Metrics.set m_table_used (Wb_support.Cset.cardinal t))
+      table;
+    if Atomic.get over then
+      Error (`Limit (match table with Some t -> Wb_support.Cset.limit t | None -> limit))
+    else
+      Ok
+        {
+          valid = Atomic.get valid;
+          states = Atomic.get states;
+          finals = Atomic.get finals;
+          dedup_hits = Atomic.get hits;
+          orbit_collapses = !collapses;
+          steals;
+          group_order = (match group with Some a -> Array.length a | None -> 1);
+          dedup = Option.is_some table;
+        }
 end
 
 let run_packed ?max_rounds ?trace ?span (module P : Protocol.S) g adv =
@@ -564,10 +416,6 @@ let explore_packed_exn ?limit ?trace (module P : Protocol.S) g check =
   let module E = Make (P) in
   E.explore_exn ?limit ?trace g check
 
-let explore_par_packed ?limit ?shards ~jobs (module P : Protocol.S) g check =
+let verify_packed ?limit ?jobs ?shards (module P : Protocol.S) g check =
   let module E = Make (P) in
-  E.explore_par ?limit ?shards ~jobs g check
-
-let verify_packed ?limit ?symmetry ?jobs (module P : Protocol.S) g check =
-  let module E = Make (P) in
-  E.verify ?limit ?symmetry ?jobs g check
+  E.verify ?limit ?jobs ?shards g check

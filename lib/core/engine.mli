@@ -7,15 +7,16 @@
 
     - {!Make.run} — one execution under one {!Adversary.t};
     - {!Make.explore} — depth-first enumeration of {e every} adversarial
-      schedule, backtracking over a single live machine;
-    - {!Make.explore_par} — the same enumeration split over multicore
+      schedule, backtracking over a single live machine (the sequential
+      reference);
+    - {!Make.verify} — the same exhaustive check split over multicore
       workers ([Domain.spawn]) scheduled by per-domain work-stealing deques
-      ({!Wb_support.Deque}), with a verdict and execution count that are
-      deterministic in the number of workers;
-    - {!Make.verify} — canonical-state exploration: configuration dedup
-      ({!Machine.Make.digest} memoised in a lock-free {!Wb_support.Cset})
-      and symmetry reduction ({!Wb_graph.Auto}), sound under the protocol's
-      declared {!Protocol.Traits}, falling back to enumeration otherwise.
+      ({!Wb_support.Deque}): canonical-state exploration (configuration
+      dedup through {!Machine.Make.digest} memoised in a lock-free
+      {!Wb_support.Cset}, and symmetry reduction through {!Wb_graph.Auto})
+      where the protocol's declared {!Protocol.Traits} make it sound,
+      schedule enumeration otherwise, with results that are deterministic
+      in the number of workers.
 
     The networked referee ([Wb_net.Session]) is the fourth consumer of the
     same kernel; it adds transport and fault handling but no semantics.
@@ -75,17 +76,17 @@ type verification = {
   valid : bool;  (** every checked execution passed. *)
   states : int;
       (** distinct interior (choice-point) configurations claimed; [0] in
-          enumerative fallback mode. *)
+          enumeration. *)
   finals : int;
       (** distinct final configurations checked (canonical mode) or complete
-          executions enumerated (fallback). *)
+          executions enumerated. *)
   dedup_hits : int;  (** schedule prefixes merged into already-visited configurations. *)
   orbit_collapses : int;  (** candidate writes pruned to symmetry-orbit representatives. *)
   steals : int;
       (** deque steals between workers — scheduling telemetry, the one field
           that legitimately varies with [jobs] and timing. *)
-  group_order : int;  (** order of the automorphism group used; [1] when symmetry was off. *)
-  dedup : bool;  (** [false] iff the traits forced the enumerative fallback. *)
+  group_order : int;  (** order of the automorphism group used; [1] without symmetry. *)
+  dedup : bool;  (** [false] iff the traits made no confluence promise, so it enumerated. *)
 }
 (** Result of {!Make.verify}.  All fields except [steals] are deterministic
     and independent of [jobs]. *)
@@ -115,7 +116,7 @@ module Make (P : Protocol.S) : sig
       of executions)], or [Error (`Limit limit)] when more than [limit]
       (default 10^6) executions would be visited.  Short-circuits on the
       first failing [check], so the count on a failing verdict depends on
-      schedule order ({!explore_par} never short-circuits).  [trace]
+      schedule order ({!verify} never short-circuits).  [trace]
       observes the depth-first event stream — shared schedule prefixes are
       {e not} replayed, so consecutive [Run_end] windows are deltas; wrap
       the sink in {!Wb_obs.Trace.sample} to keep every k-th window. *)
@@ -125,66 +126,52 @@ module Make (P : Protocol.S) : sig
   (** {!explore}, raising [Failure] on [`Limit] — for call sites that treat
       hitting the limit as a bug. *)
 
-  val explore_par :
-    ?limit:int ->
-    ?shards:Wb_obs.Trace.Ring.buffer array ->
-    jobs:int ->
-    Wb_graph.Graph.t ->
-    (run -> bool) ->
-    (bool * int, [ `Limit of int ]) result
-  (** {!explore} fanned out over [jobs] domains: the schedule tree is split
-      into pick-prefix work items (breadth-first, in the main domain), each
-      worker replays claimed prefixes on its own fresh machine and walks
-      the subtree exhaustively.  The verdict and the execution count are
-      independent of [jobs] because workers never short-circuit — on an
-      all-pass tree the count equals {!explore}'s; on a failing tree it is
-      the full tree size, where {!explore} stops early.  [check] runs
-      concurrently from several domains and must be domain-safe (the
-      differential predicates here are pure).
-
-      Instead of a shared [?trace] (interleaved worker events have no
-      meaningful order), [shards] gives each worker its own flight-recorder
-      ring: worker [k] streams into [shards.(k)] under a per-domain
-      ["worker"] root span (attr ["domain"]), with every replayed
-      execution's ["run"] span a child of it — stitch the shards into one
-      Catapult file with {!Wb_obs.Chrome.merge}.  The sequential
-      prefix-expansion phase is untraced (its completions belong to no
-      worker).  [Error (`Limit _)] is returned iff the tree exceeds
-      [limit], independent of [jobs].
-      @raise Invalid_argument when [jobs < 1] or when [shards] is given
-      with length [<> jobs]. *)
-
   val verify :
     ?limit:int ->
-    ?symmetry:bool ->
     ?jobs:int ->
+    ?shards:Wb_obs.Trace.Ring.buffer array ->
     Wb_graph.Graph.t ->
     (run -> bool) ->
     (verification, [ `Limit of int ]) result
-  (** Canonical exploration: enumerate {e configurations} instead of
-      schedules.  When the protocol's {!Protocol.Traits} declare confluence
-      on [g], schedule prefixes reaching the same {!Machine.Make.digest} are
-      merged through a shared lock-free visited table; when they further
-      declare a symmetry promise and [symmetry] is [true] (default), a
-      sequential first phase prunes candidate writes to stabilizer-orbit
-      representatives of [Aut(g)] (prefix lex-leader with explicit
-      stabilizer chains) before the remaining subtrees are fanned out over
-      [jobs] work-stealing workers.  Without a confluence promise on [g]
-      the call degrades to {!explore_par} and reports [dedup = false].
+  (** Exhaustive check over [jobs] work-stealing workers.  When the
+      protocol's {!Protocol.Traits} declare confluence on [g], it enumerates
+      {e configurations} instead of schedules: schedule prefixes reaching
+      the same {!Machine.Make.digest} are merged through a shared lock-free
+      visited table, and when the traits further declare a symmetry
+      promise, a sequential first phase prunes candidate writes to
+      stabilizer-orbit representatives of [Aut(g)] (prefix lex-leader with
+      explicit stabilizer chains) before the remaining subtrees are fanned
+      out.  Without a confluence promise on [g] the same workers enumerate
+      every schedule and report [dedup = false]: [states = 0], [finals] =
+      executions, no dedup hits or orbit collapses, [group_order = 1].  To
+      force enumeration, pass {!Protocol.opaque}.
 
-      [check] must be domain-safe, must factor through the configuration it
-      is given (two executions reaching the same final configuration get at
-      most one [check] call between them), and — when symmetry applies —
-      must be automorphism-invariant, which every graph-property
-      differential here is.
+      [check] runs concurrently from several domains and must be
+      domain-safe; in canonical mode it must also factor through the
+      configuration it is given (two executions reaching the same final
+      configuration get at most one [check] call between them) and — when
+      symmetry applies — be automorphism-invariant, which every
+      graph-property differential here is.  Enumeration never
+      short-circuits, so on a failing tree [finals] is the full tree size,
+      where {!explore} stops early.  An exception raised by [check] or a
+      protocol hook stops every worker and is re-raised once all of them
+      have been joined.
 
       [limit] (default [250_000]) bounds {e distinct configurations} in
-      canonical mode (executions in fallback mode); exceeding it returns
+      canonical mode and executions in enumeration; exceeding it returns
       [Error (`Limit _)] deterministically.  All result fields except
       [steals] are independent of [jobs]: a configuration is claimed at
       discovery, so the claimed set is the reachability closure of the
       pruned tree regardless of worker scheduling.
-      @raise Invalid_argument when [jobs < 1]. *)
+
+      Instead of a shared trace (interleaved worker events have no
+      meaningful order), [shards] gives each worker its own flight-recorder
+      ring: worker [k] streams into [shards.(k)] under a per-domain
+      ["worker"] root span (attr ["domain"]), with its machine's ["run"]
+      span a child of it — stitch the shards into one Catapult file with
+      {!Wb_obs.Chrome.merge}.  The sequential first phase is untraced.
+      @raise Invalid_argument when [jobs < 1] or when [shards] is given
+      with length [<> jobs]. *)
 end
 
 val run_packed :
@@ -207,19 +194,10 @@ val explore_packed :
 val explore_packed_exn :
   ?limit:int -> ?trace:Wb_obs.Trace.t -> Protocol.t -> Wb_graph.Graph.t -> (run -> bool) -> bool * int
 
-val explore_par_packed :
-  ?limit:int ->
-  ?shards:Wb_obs.Trace.Ring.buffer array ->
-  jobs:int ->
-  Protocol.t ->
-  Wb_graph.Graph.t ->
-  (run -> bool) ->
-  (bool * int, [ `Limit of int ]) result
-
 val verify_packed :
   ?limit:int ->
-  ?symmetry:bool ->
   ?jobs:int ->
+  ?shards:Wb_obs.Trace.Ring.buffer array ->
   Protocol.t ->
   Wb_graph.Graph.t ->
   (run -> bool) ->

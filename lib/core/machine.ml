@@ -129,19 +129,14 @@ module Make (N : NODE) = struct
 
   let simultaneous = Model.simultaneous N.model
 
-  let init ?max_rounds ?trace ?span ?(salt = 0) g =
+  let init ?max_rounds ?trace ?span g =
     let size = G.n g in
     let views = Array.init size (View.make g) in
     (* Seeded from the parent context (or 0), so span ids — and with them
-       the whole trace tree — are reproducible run over run.  [salt]
-       distinguishes sibling machines under the same parent (the parallel
-       explorer replays many machines below one "worker" span; without a
-       salt they would all mint identical id streams). *)
+       the whole trace tree — are reproducible run over run. *)
     let minter =
       Obs.Span.minter
-        ~seed:
-          ((match span with Some c -> c.Obs.Span.trace lxor c.Obs.Span.span | None -> 0)
-          lxor (salt * 0x9e3779b9))
+        ~seed:(match span with Some c -> c.Obs.Span.trace lxor c.Obs.Span.span | None -> 0)
         ()
     in
     let span_root =

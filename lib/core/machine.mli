@@ -1,6 +1,6 @@
 (** The execution kernel: one step machine implementing the paper's round
     semantics, shared by every consumer — {!Engine.Make.run} (one adversary),
-    {!Engine.Make.explore} and [explore_par] (all adversaries, with
+    {!Engine.Make.explore} and {!Engine.Make.verify} (all adversaries, with
     backtracking), and the networked referee ([Wb_net.Session]), which wraps
     protocol hooks in RPCs and injects faults via {!Make.kill}.
 
@@ -108,7 +108,6 @@ module Make (N : NODE) : sig
     ?max_rounds:int ->
     ?trace:Wb_obs.Trace.t ->
     ?span:Wb_obs.Span.context ->
-    ?salt:int ->
     Wb_graph.Graph.t ->
     t
   (** [max_rounds] defaults to {!default_max_rounds}.  [trace] receives the
@@ -116,9 +115,9 @@ module Make (N : NODE) : sig
       owns it.  When traced, the kernel opens a ["run"] root span (a child
       of [span] when given — how a networked session joins its driver's
       trace) and child spans per round, compose and fault; span ids are
-      minted deterministically from [span] (or seed 0) and [salt]
-      (default 0), so the trace tree is reproducible.  Give sibling
-      machines sharing one parent distinct salts or their ids collide. *)
+      minted deterministically from [span] (or seed 0), so the trace tree
+      is reproducible.  Sibling machines sharing one parent mint identical
+      ids, so give each its own parent span. *)
 
   val step : t -> [ `Choices of int list | `Write of int | `Done of run ]
   (** Advance until something needs the driver:

@@ -32,3 +32,10 @@ let name (module P : S) = P.name
 let model (module P : S) = P.model
 
 let traits (module P : S) = P.traits
+
+let opaque (module P : S) : t =
+  (module struct
+    include P
+
+    let traits = Traits.opaque
+  end)

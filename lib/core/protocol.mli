@@ -87,3 +87,7 @@ type t = (module S)
 val name : t -> string
 val model : t -> Model.t
 val traits : t -> Traits.t
+
+val opaque : t -> t
+(** The same protocol declaring {!Traits.opaque}: what forces
+    {!Engine.Make.verify} to enumerate every schedule. *)

@@ -1,6 +1,6 @@
 (* Domain-safe: every value cell is an [Atomic.t] (counters, gauges,
    histogram buckets and moments), and the name->metric table is guarded by
-   a mutex, so parallel exploration workers ([Wb_model.Engine.explore_par])
+   a mutex, so parallel exploration workers ([Wb_model.Engine.verify])
    can instrument concurrently without corrupting the registry.  Histogram
    snapshots read one atomic at a time, so a dump taken mid-update may be
    momentarily inconsistent between [count] and [sum] — fine for telemetry,

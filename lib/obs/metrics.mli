@@ -9,7 +9,7 @@
 
     {b Domain safety.}  Every value cell is an [Atomic.t] and the registry
     table is mutex-guarded, so concurrent domains — the
-    {!Wb_model.Engine} [explore_par] workers in particular — may increment,
+    {!Wb_model.Engine} [verify] workers in particular — may increment,
     observe and even register without corrupting anything.  Histogram
     observations are per-field atomic: a {!dump_json} racing an [observe]
     may see [count] and [sum] one update apart, which is acceptable for

@@ -221,69 +221,12 @@ let explore_tests =
         | Error (`Limit 10) -> ()
         | Error (`Limit l) -> Alcotest.failf "wrong limit payload: %d" l
         | Ok _ -> Alcotest.fail "expected Error (`Limit _)");
-        (match E.explore_par ~limit:10 ~jobs:2 (G.Gen.complete 5) (fun _ -> true) with
+        (match E.verify ~limit:10 ~jobs:2 (G.Gen.complete 5) (fun _ -> true) with
         | Error (`Limit 10) -> ()
         | Error (`Limit l) -> Alcotest.failf "wrong parallel limit payload: %d" l
         | Ok _ -> Alcotest.fail "expected parallel Error (`Limit _)");
         Alcotest.check_raises "exn variant" (Failure "Engine.explore: execution limit exceeded")
           (fun () -> ignore (E.explore_exn ~limit:10 (G.Gen.complete 5) (fun _ -> true)))) ]
-
-let explore_par_tests =
-  let arb_instance =
-    QCheck.make
-      ~print:(fun (n, seed) -> Printf.sprintf "n=%d seed=%d" n seed)
-      QCheck.Gen.(pair (2 -- 5) (0 -- 9999))
-  in
-  let models = [ Model.Sim_async; Model.Sim_sync; Model.Async; Model.Sync ] in
-  (* The parallel explorer must agree with the sequential one on the verdict
-     always, and on the execution count whenever the verdict is true (on a
-     failing verdict the sequential explorer short-circuits, so its count is
-     order-dependent by design). *)
-  let agree (n, seed) =
-    List.for_all
-      (fun model ->
-        let module P = Probe (struct
-          let model = model
-
-          let activate_when view board = Board.length board * 2 >= View.id view
-        end) in
-        let module E = Engine.Make (P) in
-        let g = G.Gen.random_gnp (Wb_support.Prng.create seed) n 0.5 in
-        let pass r = Engine.succeeded r in
-        let counts_agree =
-          match (E.explore g pass, E.explore_par ~jobs:4 g pass) with
-          | Ok (ok_s, count_s), Ok (ok_p, count_p) ->
-            ok_s = ok_p && ((not ok_s) || count_s = count_p)
-          | Error (`Limit _), Error (`Limit _) -> true
-          | Ok _, Error _ | Error _, Ok _ -> false
-        in
-        let fail r = Array.length r.Engine.writes > 0 && r.Engine.writes.(0) = 0 in
-        let verdicts_agree =
-          match (E.explore g fail, E.explore_par ~jobs:3 g fail) with
-          | Ok (ok_s, _), Ok (ok_p, _) -> ok_s = ok_p
-          | Error (`Limit _), Error (`Limit _) -> true
-          | Ok _, Error _ | Error _, Ok _ -> false
-        in
-        counts_agree && verdicts_agree)
-      models
-  in
-  [ QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"explore_par agrees with explore across all four models" ~count:20
-         arb_instance agree);
-    Alcotest.test_case "explore_par count and verdict are independent of jobs" `Quick (fun () ->
-        let module P = Probe (struct
-          let model = Model.Sim_async
-
-          let activate_when _ _ = true
-        end) in
-        let module E = Engine.Make (P) in
-        let seq = E.explore_exn (G.Gen.complete 5) (fun _ -> true) in
-        List.iter
-          (fun jobs ->
-            match E.explore_par ~jobs (G.Gen.complete 5) (fun _ -> true) with
-            | Ok par -> Alcotest.(check (pair bool int)) (Printf.sprintf "jobs=%d" jobs) seq par
-            | Error (`Limit _) -> Alcotest.fail "unexpected limit")
-          [ 1; 2; 4 ]) ]
 
 let board_tests =
   [ Alcotest.test_case "append/find/truncate/generation" `Quick (fun () ->
@@ -542,13 +485,101 @@ let verify_tests =
           check "fallback flagged" false v.Engine.dedup;
           check "verdict" true (v.Engine.valid = ok);
           Alcotest.(check int) "execution count" count v.Engine.finals
-        | _ -> Alcotest.fail "unexpected limit") ]
+        | _ -> Alcotest.fail "unexpected limit");
+    (* Without a confluence promise verify enumerates on the same parallel
+       walker.  It must agree with the sequential explorer on the verdict
+       always, and on the execution count whenever the verdict is true (on
+       a failing verdict the sequential explorer short-circuits, so its
+       count is order-dependent by design). *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"enumeration agrees with explore across all four models" ~count:20
+         arb_instance (fun (n, seed) ->
+           List.for_all
+             (fun model ->
+               let module P = Probe (struct
+                 let model = model
+
+                 let activate_when view board = Board.length board * 2 >= View.id view
+               end) in
+               let module E = Engine.Make (P) in
+               let g = G.Gen.random_gnp (Wb_support.Prng.create seed) n 0.5 in
+               let pass r = Engine.succeeded r in
+               let counts_agree =
+                 match (E.explore g pass, E.verify ~jobs:4 g pass) with
+                 | Ok (ok, count), Ok v ->
+                   ok = v.Engine.valid && ((not ok) || count = v.Engine.finals)
+                 | Error (`Limit _), Error (`Limit _) -> true
+                 | Ok _, Error _ | Error _, Ok _ -> false
+               in
+               let fail r = Array.length r.Engine.writes > 0 && r.Engine.writes.(0) = 0 in
+               let verdicts_agree =
+                 match (E.explore g fail, E.verify ~jobs:3 g fail) with
+                 | Ok (ok, _), Ok v -> ok = v.Engine.valid
+                 | Error (`Limit _), Error (`Limit _) -> true
+                 | Ok _, Error _ | Error _, Ok _ -> false
+               in
+               counts_agree && verdicts_agree)
+             [ Model.Sim_async; Model.Sim_sync; Model.Async; Model.Sync ]));
+    Alcotest.test_case "enumeration count and verdict are independent of jobs" `Quick (fun () ->
+        let module Clique = Probe (struct
+          let model = Model.Sim_async
+
+          let activate_when _ _ = true
+        end) in
+        (* One candidate per choice point: a single execution, whose last
+           pick completes it. *)
+        let module Chain = Probe (struct
+          let model = Model.Async
+
+          let activate_when view board = Board.length board >= View.id view
+        end) in
+        let eob = G.Gen.random_eob (Wb_support.Prng.create 3) 8 0.4 in
+        let valid_eob (r : Engine.run) =
+          match r.Engine.outcome with
+          | Engine.Success a -> Problems.valid_answer Problems.Eob_bfs eob a
+          | _ -> false
+        in
+        List.iter
+          (fun (name, protocol, g, chk, executions) ->
+            let ok, count = Engine.explore_packed_exn protocol g chk in
+            check (name ^ " explore verdict") true ok;
+            Alcotest.(check int) (name ^ " explore count") executions count;
+            List.iter
+              (fun jobs ->
+                match Engine.verify_packed ~jobs protocol g chk with
+                | Error (`Limit _) -> Alcotest.fail "unexpected limit"
+                | Ok v ->
+                  let label = Printf.sprintf "%s jobs=%d" name jobs in
+                  check (label ^ " valid") true v.Engine.valid;
+                  check (label ^ " enumerated") false v.Engine.dedup;
+                  Alcotest.(check int) (label ^ " finals") count v.Engine.finals)
+              [ 1; 2; 4 ])
+          [ ("probe/K5", (module Clique : Protocol.S), G.Gen.complete 5, (fun _ -> true), 120);
+            ("chain/K8", (module Chain : Protocol.S), G.Gen.complete 8, (fun _ -> true), 1);
+            ("eob-bfs", Wb_protocols.Eob_bfs_async.protocol, eob, valid_eob, 2) ]);
+    Alcotest.test_case "a raising check stops every worker" `Quick (fun () ->
+        (* The sixth check raises inside a worker; the call must re-raise it
+           once every domain has stopped, not spin on the unfinished item. *)
+        let raising () =
+          let calls = Atomic.make 0 in
+          fun (_ : Engine.run) -> if Atomic.fetch_and_add calls 1 = 5 then raise Exit else true
+        in
+        let module Clique = Probe (struct
+          let model = Model.Sim_async
+
+          let activate_when _ _ = true
+        end) in
+        List.iter
+          (fun (name, protocol, g) ->
+            Alcotest.check_raises name Exit (fun () ->
+                ignore (Engine.verify_packed ~jobs:4 protocol g (raising ()))))
+          [ ("opaque", (module Clique : Protocol.S), G.Gen.complete 5);
+            ("canonical", Wb_protocols.Bfs_sync.protocol, G.Gen.complete 6) ]) ]
 
 let suites =
   [ ("model.message-timing", message_timing_tests);
     ("model.lifecycle", lifecycle_tests);
     ("model.explore", explore_tests);
-    ("model.explore-par", explore_par_tests);
     ("model.digest", digest_tests);
     ("model.verify", verify_tests);
     ("model.board", board_tests);
