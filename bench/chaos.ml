@@ -1,15 +1,10 @@
-(* Chaos-campaign throughput as a machine-readable perf record: each
-   instance runs a full fault-injection campaign — seeded faulted loopback
-   sessions, each crash-replayed and differentially checked — and its row
-   reports campaign throughput (runs/s), fault totals and the
-   survivor-configuration rate.  A differential mismatch aborts the bench:
-   throughput numbers are meaningless once the contract is broken.
-
-   The core is a library function so bench/chaosbench.exe and
-   `wbctl bench` drive the same instances; [fast] trims the plan matrix
-   for CI gates.  [seed] is the campaign master seed (historical
-   default 7), so two same-seed runs inject the identical fault
-   schedule and the non-timing columns are reproducible. *)
+(* Chaos campaigns as a deterministic record: each instance runs a full
+   fault-injection campaign — seeded faulted loopback sessions, each
+   crash-replayed and differentially checked — and its row reports fault
+   totals and the survivor rate.  A differential mismatch aborts the
+   suite.  [seed] is the campaign master seed (default 7), so two
+   same-seed runs inject the identical fault schedule and write identical
+   rows; [fast] trims the plan matrix to the default plan. *)
 
 module M = Wb_model
 module G = Wb_graph
@@ -31,20 +26,13 @@ let instance ~key ~graph ~graph_desc =
       max_rounds = None }
 
 let campaign rep ~seed ~runs ~plan inst =
-  Wb_obs.Metrics.reset ();
-  let t0 = Unix.gettimeofday () in
   let report = C.Campaign.run ~seed ~runs ~plan inst in
-  let wall = Unix.gettimeofday () -. t0 in
   let s = C.Campaign.summarize report in
-  if s.C.Campaign.mismatched > 0 then
-    failwith
-      (Printf.sprintf "%s/%s: %d differential mismatch(es) — fix the contract before timing it"
-         inst.C.Campaign.key plan.C.Plan.name s.C.Campaign.mismatched);
   let name = Printf.sprintf "%s/%s" inst.C.Campaign.key plan.C.Plan.name in
-  let runs_per_s = if wall > 0.0 then float_of_int runs /. wall else 0.0 in
-  Printf.printf "%-28s %3d runs  %4d faults  %3d survived  %3d dead  %8.1f runs/s\n" name
-    s.C.Campaign.total s.C.Campaign.injected_total s.C.Campaign.survived s.C.Campaign.dead_nodes
-    runs_per_s;
+  if s.C.Campaign.mismatched > 0 then
+    failwith (Printf.sprintf "%s: %d differential mismatch(es)" name s.C.Campaign.mismatched);
+  Printf.printf "%-28s %3d runs  %4d faults  %3d survived  %3d dead\n" name s.C.Campaign.total
+    s.C.Campaign.injected_total s.C.Campaign.survived s.C.Campaign.dead_nodes;
   Report.add_row rep ~name
     [ ("n", J.Int (G.Graph.n inst.C.Campaign.graph));
       ("runs", J.Int s.C.Campaign.total);
@@ -52,13 +40,11 @@ let campaign rep ~seed ~runs ~plan inst =
       ("injected", J.Int s.C.Campaign.injected_total);
       ("survived", J.Int s.C.Campaign.survived);
       ("dead_nodes", J.Int s.C.Campaign.dead_nodes);
-      ("survivor_rate", J.Float (C.Campaign.survivor_rate report));
-      ("wall_s", J.Float wall);
-      ("runs_per_s", J.Float runs_per_s) ]
+      ("survivor_rate", J.Float (C.Campaign.survivor_rate report)) ]
 
 let run ?(seed = 7) ?(fast = false) ?out () =
   print_endline "Chaos campaigns (faulted loopback runs, crash-replay differential per run)";
-  let rep = Report.create ~bench:"chaos" ~seed ~params:[ ("fast", J.Bool fast) ] () in
+  let rep = Report.create ~bench:"chaos" ~seed ~fast () in
   let runs = if fast then 8 else 32 in
   let rng = Prng.create seed in
   let four =

@@ -1,22 +1,12 @@
 (* Extension experiment: the paper's motivation quantified.  Total
    communication (bits) of whiteboard SYNC BFS (one short message per node,
    ever) vs the classical CONGEST flooding BFS (one message per edge), and
-   whiteboard MIS vs Luby.
-
-   Emits the schema-1 Wb_bench.Report envelope (BENCH_congest.json), so
-   the ratios ride the bench history and the benchdiff gate; the core is
-   shared by bench/main.exe's congest section and `wbctl bench congest`. *)
+   whiteboard MIS vs Luby. *)
 
 module P = Wb_model
 module G = Wb_graph
 module J = Wb_obs.Json
 module Prng = Wb_support.Prng
-
-let run_fields (r : P.Engine.run) =
-  [ ("outcome", J.String (P.Engine.outcome_tag r.P.Engine.outcome));
-    ("rounds", J.Int r.P.Engine.stats.rounds);
-    ("max_bits", J.Int r.P.Engine.stats.max_message_bits);
-    ("total_bits", J.Int r.P.Engine.stats.total_bits) ]
 
 let bfs_row rep g label =
   let congest = (Wb_congest.Bfs_flood.run g).Wb_congest.Bfs_flood.stats in
@@ -27,7 +17,7 @@ let bfs_row rep g label =
     (("n", J.Int (G.Graph.n g))
     :: ("m", J.Int (G.Graph.num_edges g))
     :: ("congest_bits", J.Int congest.Wb_congest.Congest.total_bits)
-    :: run_fields run);
+    :: Harness.run_fields run);
   Printf.printf "%-22s %-8d %-8d %-14d %-14d %5.1fx\n" label (G.Graph.n g) (G.Graph.num_edges g)
     wb.P.Engine.total_bits congest.Wb_congest.Congest.total_bits
     (float_of_int congest.Wb_congest.Congest.total_bits
@@ -43,7 +33,7 @@ let mis_row rep ~seed g label =
   Report.add_row rep ~name:("mis " ^ label)
     (("n", J.Int (G.Graph.n g))
     :: ("luby_bits", J.Int luby.Wb_congest.Luby_mis.stats.Wb_congest.Congest.total_bits)
-    :: run_fields run);
+    :: Harness.run_fields run);
   Printf.printf "%-22s %-8d %-14d %-7d (%d)      %5.1fx\n" label (G.Graph.n g)
     run.P.Engine.stats.total_bits luby.Wb_congest.Luby_mis.stats.Wb_congest.Congest.total_bits
     luby.Wb_congest.Luby_mis.stats.Wb_congest.Congest.rounds
@@ -51,7 +41,7 @@ let mis_row rep ~seed g label =
     /. float_of_int (max 1 run.P.Engine.stats.total_bits))
 
 let run ?(seed = 77) ?(fast = false) ?out () =
-  let rep = Report.create ~bench:"congest" ~seed ~params:[ ("fast", J.Bool fast) ] () in
+  let rep = Report.create ~bench:"congest" ~seed ~fast () in
   print_endline "Extension — whiteboard vs CONGEST: total communication for BFS";
   Printf.printf "%-22s %-8s %-8s %-14s %-14s %s\n" "graph" "n" "m" "whiteboard b" "congest b"
     "ratio";

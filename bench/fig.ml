@@ -15,21 +15,19 @@ let fig1 () =
       let g = G.Gen.random_bipartite rng a b 0.4 in
       let pairs = (a + b) * (a + b - 1) / 2 in
       let ok = R.Triangle_reduction.gadget_faithful g in
-      Printf.printf "bipartite %2d+%2d: %4d gadgets built and checked   [%s]\n" a b pairs
-        (Harness.tick ok))
+      Harness.check ok "bipartite %2d+%2d: %4d gadgets built and checked   " a b pairs)
     sizes;
   Harness.subsection "exhaustive: every triangle-free graph on 6 nodes";
   let all = List.filter (fun g -> not (G.Algo.has_triangle g)) (G.Gen.all_labelled_graphs 6) in
   let ok = List.for_all R.Triangle_reduction.gadget_faithful all in
-  Printf.printf "%d triangle-free graphs, all pairs                    [%s]\n" (List.length all)
-    (Harness.tick ok);
+  Harness.check ok "%d triangle-free graphs, all pairs                    " (List.length all);
   Harness.subsection "Theorem 3 transformer (oracle-driven) end to end";
   let protocol = R.Triangle_reduction.transform R.Oracles.triangle_simasync in
   let g = G.Gen.random_bipartite rng 5 5 0.5 in
   let run = P.Engine.run_packed protocol g (P.Adversary.random rng) in
   let ok = P.Engine.outcome_equal run.P.Engine.outcome (P.Engine.Success (P.Answer.Graph g)) in
-  Printf.printf "BUILD-from-TRIANGLE reconstructs bipartite n=10, %d bits/msg  [%s]\n"
-    run.P.Engine.stats.max_message_bits (Harness.tick ok)
+  Harness.check ok "BUILD-from-TRIANGLE reconstructs bipartite n=10, %d bits/msg  "
+    run.P.Engine.stats.max_message_bits
 
 let fig2 () =
   Harness.section "Figure 2 — gadget G_i: BFS layer 3 of v_1 = N(v_i)";
@@ -44,8 +42,7 @@ let fig2 () =
         if not (R.Eob_bfs_reduction.gadget_faithful g ~target:!t) then ok := false;
         t := !t + 2
       done;
-      Printf.printf "EOB input s=%2d: %2d gadgets (one per odd id), layers checked  [%s]\n" s !count
-        (Harness.tick !ok))
+      Harness.check !ok "EOB input s=%2d: %2d gadgets (one per odd id), layers checked  " s !count)
     [ 4; 8; 12; 20; 32 ];
   Harness.subsection "gadgets remain even-odd-bipartite";
   let g = G.Gen.random_eob rng 12 0.4 in
@@ -54,16 +51,15 @@ let fig2 () =
       (fun t -> G.Algo.is_even_odd_bipartite (R.Eob_bfs_reduction.gadget g ~target:t))
       [ 1; 3; 5; 7; 9; 11 ]
   in
-  Printf.printf "all 6 gadgets EOB                                            [%s]\n"
-    (Harness.tick ok);
+  Harness.check ok "all 6 gadgets EOB                                            ";
   Harness.subsection "Theorem 8 transformer (oracle-driven) end to end";
   let protocol = R.Eob_bfs_reduction.transform R.Oracles.eob_bfs_simsync in
   let g = G.Gen.random_eob rng 10 0.4 in
   let run = P.Engine.run_packed protocol g (P.Adversary.random rng) in
   let ok = P.Engine.outcome_equal run.P.Engine.outcome (P.Engine.Success (P.Answer.Graph g)) in
-  Printf.printf "BUILD-from-EOB-BFS reconstructs EOB n=10                     [%s]\n"
-    (Harness.tick ok)
+  Harness.check ok "BUILD-from-EOB-BFS reconstructs EOB n=10                     "
 
-let print () =
+let run ?(seed = 2012) ?(fast = false) ?out () =
   fig1 ();
-  fig2 ()
+  fig2 ();
+  Report.write ?out (Report.create ~bench:"fig" ~seed ~fast ())

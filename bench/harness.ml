@@ -1,4 +1,5 @@
-(* Shared helpers for the table/figure regeneration sections. *)
+(* Shared helpers for the table/figure suites: headings, the protocol
+   validator, and the paper check that prints a row and fails the run. *)
 
 module P = Wb_model
 module G = Wb_graph
@@ -10,65 +11,27 @@ let section title =
 
 let subsection title = Printf.printf "\n-- %s --\n" title
 
-(* Machine-readable sidecars: next to each human table, a BENCH_<section>.json
-   in the shared Wb_bench.Report schema (schema-versioned envelope with the
-   section's rows, a flat diffable metric map and a registry snapshot) — the
-   perf-trajectory record scripts/benchdiff.ml consumes across PRs.
-   Disable with WB_BENCH_JSON=0. *)
-module Emit = struct
-  let enabled = Sys.getenv_opt "WB_BENCH_JSON" <> Some "0"
+(* Common report fields for a completed engine run. *)
+let run_fields (r : P.Engine.run) =
+  [ ("outcome", J.String (P.Engine.outcome_tag r.P.Engine.outcome));
+    ("rounds", J.Int r.P.Engine.stats.rounds);
+    ("max_bits", J.Int r.P.Engine.stats.max_message_bits);
+    ("total_bits", J.Int r.P.Engine.stats.total_bits) ]
 
-  (* The uniform bench CLI (--seed/--out), installed once by main.ml so
-     every section sees the same overrides. *)
-  let cli : Wb_bench.Report.Cli.t ref =
-    ref { Wb_bench.Report.Cli.seed = None; out = None; fast = false; rest = [] }
-
-  let single_section = ref false
-
-  let configure ~single c =
-    cli := c;
-    single_section := single
-
-  (* The CLI seed when given, else the section's historical default — so
-     default outputs stay byte-identical run to run. *)
-  let seed ~default = Wb_bench.Report.Cli.seed !cli ~default
-
-  let state : (string, Wb_bench.Report.t) Hashtbl.t = Hashtbl.create 8
-
-  let start sect =
-    if enabled then
-      Hashtbl.replace state sect
-        (Wb_bench.Report.create ~bench:sect ~seed:(seed ~default:2012) ())
-
-  let row sect ~name fields =
-    if enabled then
-      match Hashtbl.find_opt state sect with
-      | None -> ()
-      | Some rep -> Wb_bench.Report.add_row rep ~name fields
-
-  (* Common row fields for a completed engine run. *)
-  let run_fields (r : P.Engine.run) =
-    [ ("outcome", J.String (P.Engine.outcome_tag r.P.Engine.outcome));
-      ("rounds", J.Int r.P.Engine.stats.rounds);
-      ("max_bits", J.Int r.P.Engine.stats.max_message_bits);
-      ("total_bits", J.Int r.P.Engine.stats.total_bits) ]
-
-  let finish sect =
-    if enabled then
-      match Hashtbl.find_opt state sect with
-      | None -> ()
-      | Some rep ->
-        Hashtbl.remove state sect;
-        (* --out only redirects a single-section run; with several sections
-           each keeps its default BENCH_<section>.json. *)
-        let out = if !single_section then !cli.Wb_bench.Report.Cli.out else None in
-        ignore (Wb_bench.Report.write ?out rep)
-end
+(* Print a row ending in [ok] or [FAILED].  A false check raises once its
+   row is out, the same way the other in-suite asserts do, so a broken
+   claim fails `wbctl bench` instead of scrolling past. *)
+let check ok fmt =
+  Printf.ksprintf
+    (fun line ->
+      Printf.printf "%s[%s]\n%!" line (if ok then "ok" else "FAILED");
+      if not ok then failwith ("paper check failed: " ^ String.trim line))
+    fmt
 
 (* Validate [protocol] for [problem] over a list of graphs: every graph is
-   run under five adversary strategies, and exhaustively when n <= limit.
-   Returns (ok, runs, max bits seen). *)
-let verify protocol problem graphs ~exhaustive_below =
+   run under five adversary strategies ([seed] drives the random one), and
+   exhaustively when n <= limit.  Returns (ok, runs, max bits seen). *)
+let verify ~seed protocol problem graphs ~exhaustive_below =
   let runs = ref 0 in
   let max_bits = ref 0 in
   let ok = ref true in
@@ -87,7 +50,7 @@ let verify protocol problem graphs ~exhaustive_below =
           P.Adversary.max_id;
           P.Adversary.alternating_extremes;
           P.Adversary.last_writer_neighbor_avoider g;
-          P.Adversary.random (Prng.create (Emit.seed ~default:2012)) ]
+          P.Adversary.random (Prng.create seed) ]
       in
       List.iter
         (fun adv -> if not (validate (P.Engine.run_packed protocol g adv)) then ok := false)
@@ -101,5 +64,3 @@ let verify protocol problem graphs ~exhaustive_below =
       end)
     graphs;
   (!ok, !runs, !max_bits)
-
-let tick = function true -> "ok" | false -> "FAILED"

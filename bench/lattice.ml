@@ -2,10 +2,9 @@
    orthogonality of message size: which strict separations hold, and the
    two-sided SUBGRAPH_f table (real protocol cost vs counting floor). *)
 
-module P = Wb_model
 module R = Wb_reductions
 
-let print () =
+let run ?(seed = 2012) ?(fast = false) ?out () =
   Harness.section "Theorem 4 — the computing-power lattice";
   Printf.printf
     "PSIMASYNC[f] < PSIMSYNC[f] < PASYNC[f] <= PSYNC[f]   (f = Omega(log n), o(n))\n\n\
@@ -29,4 +28,4 @@ let print () =
     "\n(the protocol column tracks f(n) = n/2 while the floor grows ~ f^2/n; O(log n)-bit\n\
      messages are information-theoretically refused at every size: no synchronisation\n\
      mechanism can compensate for message size.)\n";
-  ignore P.Model.all
+  Report.write ?out (Report.create ~bench:"lattice" ~seed ~fast ())

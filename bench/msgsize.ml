@@ -1,24 +1,13 @@
 (* Regenerates the Lemma 1 message-size claim: the k-degenerate BUILD
    protocol writes O(k^2 log n) bits per node.  Measured max message size
    across n and k, against the counting floor of Lemma 3 (trees) showing
-   the log n factor is necessary.
-
-   Emits the schema-1 Wb_bench.Report envelope (BENCH_msgsize.json), so
-   its cells ride the bench history and the benchdiff gate like every
-   other suite; the core is shared by bench/main.exe's msgsize section and
-   `wbctl bench msgsize`. *)
+   the log n factor is necessary. *)
 
 module P = Wb_model
 module G = Wb_graph
 module R = Wb_reductions
 module J = Wb_obs.Json
 module Prng = Wb_support.Prng
-
-let run_fields (r : P.Engine.run) =
-  [ ("outcome", J.String (P.Engine.outcome_tag r.P.Engine.outcome));
-    ("rounds", J.Int r.P.Engine.stats.rounds);
-    ("max_bits", J.Int r.P.Engine.stats.max_message_bits);
-    ("total_bits", J.Int r.P.Engine.stats.total_bits) ]
 
 let measure rep ~seed ~n ~k =
   let rng = Prng.create (seed + n + k) in
@@ -27,7 +16,7 @@ let measure rep ~seed ~n ~k =
   let run = P.Engine.run_packed protocol g (P.Adversary.random rng) in
   Report.add_row rep
     ~name:(Printf.sprintf "build-degenerate n=%d k=%d" n k)
-    (("n", J.Int n) :: ("k", J.Int k) :: run_fields run);
+    (("n", J.Int n) :: ("k", J.Int k) :: Harness.run_fields run);
   match run.P.Engine.outcome with
   | P.Engine.Success (P.Answer.Graph h) when G.Graph.equal g h ->
     run.P.Engine.stats.max_message_bits
@@ -38,8 +27,8 @@ let run ?(seed = 2012) ?(fast = false) ?out () =
   let split_ns = if fast then [ 16; 64 ] else [ 16; 64; 256 ] in
   let naive_ns = if fast then [ 64; 256 ] else [ 64; 256; 1024 ] in
   let rep =
-    Report.create ~bench:"msgsize" ~seed
-      ~params:[ ("ns", J.List (List.map (fun n -> J.Int n) ns)); ("fast", J.Bool fast) ]
+    Report.create ~bench:"msgsize" ~seed ~fast
+      ~params:[ ("ns", J.List (List.map (fun n -> J.Int n) ns)) ]
       ()
   in
   print_endline "Lemma 1 — BUILD message size is O(k^2 log n) bits";
@@ -72,7 +61,7 @@ let run ?(seed = 2012) ?(fast = false) ?out () =
           let run = P.Engine.run_packed protocol g (P.Adversary.random rng) in
           Report.add_row rep
             ~name:(Printf.sprintf "build-split-degenerate n=%d k=%d" n k)
-            (("n", J.Int n) :: ("k", J.Int k) :: run_fields run);
+            (("n", J.Int n) :: ("k", J.Int k) :: Harness.run_fields run);
           let bits =
             match run.P.Engine.outcome with
             | P.Engine.Success (P.Answer.Graph h) when G.Graph.equal g h ->
@@ -90,7 +79,7 @@ let run ?(seed = 2012) ?(fast = false) ?out () =
       let run = P.Engine.run_packed Wb_protocols.Build_naive.protocol g P.Adversary.min_id in
       Report.add_row rep
         ~name:(Printf.sprintf "build-naive n=%d" n)
-        (("n", J.Int n) :: run_fields run);
+        (("n", J.Int n) :: Harness.run_fields run);
       Printf.printf "n=%-6d naive %5d bits vs forest-protocol %3d bits\n" n
         run.P.Engine.stats.max_message_bits
         (measure rep ~seed ~n ~k:1))

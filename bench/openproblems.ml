@@ -9,7 +9,7 @@ module P = Wb_model
 module G = Wb_graph
 module Prng = Wb_support.Prng
 
-let connectivity () =
+let connectivity ~seed =
   Harness.subsection "Open Problem 2 — CONNECTIVITY in SYNC[log n] (constructive side)";
   let rng = Prng.create 55 in
   let graphs =
@@ -19,12 +19,11 @@ let connectivity () =
       G.Gen.two_cliques 12 ]
   in
   let ok, runs, bits =
-    Harness.verify Wb_protocols.Connectivity_sync.protocol
+    Harness.verify ~seed Wb_protocols.Connectivity_sync.protocol
       (fun _ -> P.Problems.Connectivity)
       graphs ~exhaustive_below:6
   in
-  Printf.printf "BFS-root counting protocol: %d runs, <=%d bits        [%s]\n" runs bits
-    (Harness.tick ok)
+  Harness.check ok "BFS-root counting protocol: %d runs, <=%d bits        " runs bits
 
 let deadlock () =
   Harness.subsection "Open Problem 3 — why ASYNC seems too weak for BFS";
@@ -37,9 +36,8 @@ let deadlock () =
     | Ok r -> r
     | Error (`Limit _) -> (false, 0)
   in
-  Printf.printf
-    "ASYNC layer protocol on triangle+tail: deadlocks under all %d schedules  [%s]\n" schedules
-    (Harness.tick ok);
+  Harness.check ok "ASYNC layer protocol on triangle+tail: deadlocks under all %d schedules  "
+    schedules;
   let even = G.Gen.cycle 6 in
   let ok2 =
     match
@@ -51,8 +49,7 @@ let deadlock () =
     | Ok (ok2, _) -> ok2
     | Error (`Limit _) -> false
   in
-  Printf.printf "same protocol on C6 (bipartite): succeeds under all schedules       [%s]\n"
-    (Harness.tick ok2)
+  Harness.check ok2 "same protocol on C6 (bipartite): succeeds under all schedules       "
 
 let randomized () =
   Harness.subsection "Open Problem 4 — randomized 2-CLIQUES in SIMASYNC";
@@ -79,7 +76,7 @@ let randomized () =
     "(error decays ~2^-bits as fingerprints stop colliding; at log n-size fingerprints the\n\
      protocol is correct w.h.p. — the randomized protocol the paper alludes to.)\n"
 
-let sketches () =
+let sketches ~fast =
   Harness.subsection "Open Problems 2+4 — randomized SIMASYNC connectivity by linear sketching";
   Printf.printf "%-8s %-10s %-12s %-16s %s\n" "n" "bits/msg" "naive bits" "err (100 graphs)" "spanning forest ok";
   List.iter
@@ -106,16 +103,17 @@ let sketches () =
       Printf.printf "%-8d %-10d %-12d %-16s %d/100\n" n !bits n
         (Printf.sprintf "%d/100" !errors)
         !forest_ok)
-    [ 16; 32; 64; 128 ];
+    (if fast then [ 16; 32 ] else [ 16; 32; 64; 128 ]);
   Printf.printf
     "(AGM-style l0-sampling sketches with public coins: one SIMASYNC message per node, the\n\
      referee runs Boruvka on summed sketches.  Messages are Theta(log^3 n) bits - the growth\n\
      column is what matters; the constant crosses the naive n-bit row only at large n.\n\
      This post-paper technique answers the randomized side of Open Problems 2 and 4.)\n"
 
-let print () =
+let run ?(seed = 2012) ?(fast = false) ?out () =
   Harness.section "Open problems — the constructive sides";
-  connectivity ();
+  connectivity ~seed;
   deadlock ();
   randomized ();
-  sketches ()
+  sketches ~fast;
+  Report.write ?out (Report.create ~bench:"open" ~seed ~fast ())

@@ -13,8 +13,6 @@ let problems =
     ("HAS-EDGE", fun g -> G.Graph.num_edges g > 0);
     ("EDGE-PARITY", fun g -> G.Graph.num_edges g mod 2 = 0) ]
 
-let fast_mode () = Sys.getenv_opt "WB_BENCH_FAST" <> None
-
 (* Open Problem 1: for which f(n) is 2-CLIQUES in SIMASYNC[f]?  At tiny n we
    can answer exactly over the promise universe of (n/2-1)-regular graphs. *)
 let open_problem_1 () =
@@ -49,7 +47,7 @@ let open_problem_1 () =
     "(a finite-size data point for Open Problem 1: how much simultaneous-frozen message\n\
      capacity 2-CLIQUES needs, vs the 2 letters SIMSYNC uses.)\n"
 
-let print () =
+let run ?(seed = 2012) ?(fast = false) ?out () =
   Harness.section "Extension — exhaustive protocol synthesis at tiny n";
   Printf.printf "minimal message-alphabet size B (SAT-verified); '-' = not attempted\n\n";
   Printf.printf "%-14s %-4s %-14s %-14s\n" "problem" "n" "SIMASYNC" "SIMSYNC";
@@ -64,7 +62,7 @@ let print () =
             | None -> ">8"
           in
           let ss =
-            if n >= 4 && (fast_mode () || name <> "TRIANGLE") then "-"
+            if n >= 4 && (fast || name <> "TRIANGLE") then "-"
             else begin
               match Simsync_synth.min_alphabet ~n spec ~max:(if n >= 4 then 2 else 4) with
               | Some b -> string_of_int b
@@ -78,5 +76,6 @@ let print () =
     "\n(headline: at n = 4, TRIANGLE requires a 3-letter alphabet under SIMASYNC but only 2\n\
      letters under SIMSYNC — an exhaustively-verified finite-size separation matching\n\
      Corollary 2's asymptotic claim, and constructive support for the paper's assertion\n\
-     that TRIANGLE lies in PSIMSYNC.  Set WB_BENCH_FAST=1 to skip the slow SIMSYNC cell.)\n";
-  open_problem_1 ()
+     that TRIANGLE lies in PSIMSYNC.  --fast skips the slow SIMSYNC cell.)\n";
+  open_problem_1 ();
+  Report.write ?out (Report.create ~bench:"synth" ~seed ~fast ())

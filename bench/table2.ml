@@ -7,6 +7,7 @@
 module P = Wb_model
 module G = Wb_graph
 module R = Wb_reductions
+module J = Wb_obs.Json
 module Prng = Wb_support.Prng
 
 type verdict =
@@ -23,7 +24,7 @@ let show = function
 
 (* --- positive cells ------------------------------------------------- *)
 
-let verify_build () =
+let verify_build ~seed =
   let rng = Prng.create 1 in
   let graphs =
     [ G.Gen.random_tree rng 64;
@@ -35,22 +36,22 @@ let verify_build () =
   let protocol = Wb_protocols.Build_degenerate.protocol ~k:5 ~decoder:`Backtracking in
   (* degeneracy <= 5 for all of the above (trees, 3-trees, planar) *)
   let ok, runs, bits =
-    Harness.verify protocol (fun _ -> P.Problems.Build) graphs ~exhaustive_below:6
+    Harness.verify ~seed protocol (fun _ -> P.Problems.Build) graphs ~exhaustive_below:6
   in
   (ok, Printf.sprintf "SIMASYNC protocol, %d runs, <=%d bits" runs bits)
 
-let verify_mis () =
+let verify_mis ~seed =
   let rng = Prng.create 2 in
   let graphs =
     [ G.Gen.random_gnp rng 48 0.1; G.Gen.petersen (); G.Gen.random_gnp rng 32 0.4; G.Gen.cycle 5 ]
   in
   let protocol = Wb_protocols.Mis_simsync.protocol ~root:0 in
   let ok, runs, bits =
-    Harness.verify protocol (fun _ -> P.Problems.Rooted_mis 0) graphs ~exhaustive_below:6
+    Harness.verify ~seed protocol (fun _ -> P.Problems.Rooted_mis 0) graphs ~exhaustive_below:6
   in
   (ok, Printf.sprintf "SIMSYNC greedy, %d runs, <=%d bits" runs bits)
 
-let verify_eob_bfs () =
+let verify_eob_bfs ~seed =
   let rng = Prng.create 3 in
   let graphs =
     [ G.Gen.random_eob rng 48 0.15;
@@ -60,12 +61,12 @@ let verify_eob_bfs () =
       G.Gen.random_connected rng 14 0.3 ]
   in
   let ok, runs, bits =
-    Harness.verify Wb_protocols.Eob_bfs_async.protocol (fun _ -> P.Problems.Eob_bfs) graphs
+    Harness.verify ~seed Wb_protocols.Eob_bfs_async.protocol (fun _ -> P.Problems.Eob_bfs) graphs
       ~exhaustive_below:6
   in
   (ok, Printf.sprintf "ASYNC layer protocol, %d runs, <=%d bits" runs bits)
 
-let verify_bfs () =
+let verify_bfs ~seed =
   let rng = Prng.create 4 in
   let graphs =
     [ G.Gen.random_connected rng 48 0.08;
@@ -74,7 +75,7 @@ let verify_bfs () =
       G.Graph.of_edges 6 [ (0, 1); (0, 2); (1, 2); (1, 3); (3, 4) ] ]
   in
   let ok, runs, bits =
-    Harness.verify Wb_protocols.Bfs_sync.protocol (fun _ -> P.Problems.Bfs) graphs
+    Harness.verify ~seed Wb_protocols.Bfs_sync.protocol (fun _ -> P.Problems.Bfs) graphs
       ~exhaustive_below:6
   in
   (ok, Printf.sprintf "SYNC layer protocol with d0, %d runs, <=%d bits" runs bits)
@@ -155,16 +156,17 @@ let triangle_claim () =
     "paper asserts a protocol exists (none given); verified on the bounded-degeneracy promise \
      class, and SIMSYNC synthesis at n=4 finds a 2-letter protocol where SIMASYNC needs 3" )
 
-let print () =
+let run ?(seed = 2012) ?(fast = false) ?out () =
+  let rep = Report.create ~bench:"table2" ~seed ~fast () in
   Harness.section "Table 2 — problem classification across the four models";
-  let build_ok, build_e = verify_build () in
-  let mis_ok, mis_e = verify_mis () in
+  let build_ok, build_e = verify_build ~seed in
+  let mis_ok, mis_e = verify_mis ~seed in
   let mis_no_ok, mis_no_e = refute_mis_simasync () in
   let tri_no_ok, tri_no_e = refute_triangle_simasync () in
   let tri_claim_ok, tri_claim_e = triangle_claim () in
-  let eob_ok, eob_e = verify_eob_bfs () in
+  let eob_ok, eob_e = verify_eob_bfs ~seed in
   let eob_no_ok, eob_no_e = refute_eob_bfs_simsync () in
-  let bfs_ok, bfs_e = verify_bfs () in
+  let bfs_ok, bfs_e = verify_bfs ~seed in
   let rows =
     [ ( "BUILD k-degenerate",
         [| Yes build_e; Yes "inherited (Lemma 4)"; Yes "inherited"; Yes "inherited" |],
@@ -185,8 +187,8 @@ let print () =
   List.iter
     (fun (name, cells, checked) ->
       let labels = Array.map (fun c -> fst (show c)) cells in
-      Printf.printf "%-20s %-10s %-10s %-10s %-10s  [%s]\n" name labels.(0) labels.(1) labels.(2)
-        labels.(3) (Harness.tick checked))
+      Harness.check checked "%-20s %-10s %-10s %-10s %-10s  " name labels.(0) labels.(1)
+        labels.(2) labels.(3))
     rows;
   Printf.printf "\nevidence:\n";
   List.iter
@@ -203,10 +205,9 @@ let print () =
   Printf.printf
     "\nlegend: yes* = asserted by the paper without an explicit protocol; 'inherited' cells\n\
      follow from the Lemma 4 inclusions SIMASYNC <= SIMSYNC <= ASYNC <= SYNC.\n";
-  let module J = Wb_obs.Json in
   List.iter
-    (fun (name, cells, checked) ->
-      Harness.Emit.row "table2" ~name
+    (fun (name, cells, _) ->
+      Report.add_row rep ~name
         [ ( "cells",
             J.Obj
               (List.mapi
@@ -214,6 +215,6 @@ let print () =
                    let label, evidence = show cells.(i) in
                    ( P.Model.name model,
                      J.Obj [ ("verdict", J.String label); ("evidence", J.String evidence) ] ))
-                 P.Model.all) );
-          ("verified", J.Bool checked) ])
-    rows
+                 P.Model.all) ) ])
+    rows;
+  Report.write ?out rep

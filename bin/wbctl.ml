@@ -201,6 +201,18 @@ let open_out_or_die file =
     Printf.eprintf "wbctl: cannot open %s: %s\n" file msg;
     exit 1
 
+(* Bench suites and the cost sweep raise [Failure] on a broken check:
+   report it in one line and exit 2, like any failing run; an unwritable
+   report exits 1, like every other output file. *)
+let exit_on_failure f =
+  try f () with
+  | Failure msg ->
+    Printf.eprintf "wbctl: %s\n" msg;
+    exit 2
+  | Sys_error msg ->
+    Printf.eprintf "wbctl: %s\n" msg;
+    exit 1
+
 let write_metrics_json = function
   | None -> ()
   | Some file ->
@@ -1204,8 +1216,8 @@ let cost_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Also write the verdict table as JSON.  Unlike BENCH_cost.json the artifact carries \
-             no wall-clock fields, so it is byte-identical across same-seed runs")
+            "Also write the verdict table as a schema-2 bench report, the format of \
+             BENCH_cost.json; it is byte-identical across same-seed runs")
   in
   let run protocol sweep seed json =
     let ns =
@@ -1225,51 +1237,10 @@ let cost_cmd =
       | None -> Wb_protocols.Registry.all ()
       | Some key -> with_entry key (fun e -> [ e ])
     in
-    Wb_bench.Cost_core.print_header ();
-    let violations = ref 0 in
-    let rows =
-      List.concat_map
-        (fun e ->
-          List.map
-            (fun n ->
-              let r =
-                try Wb_bench.Cost_core.measure e ~seed ~n
-                with Failure msg ->
-                  Printf.eprintf "wbctl: %s\n" msg;
-                  exit 2
-              in
-              Wb_bench.Cost_core.print_row r;
-              if not (Obs.Cost.verdict_ok r.Wb_bench.Cost_core.verdict) then incr violations;
-              r)
-            ns)
-        entries
-    in
-    (match json with
-    | None -> ()
-    | Some file ->
-      let doc =
-        Obs.Json.Obj
-          [ ("bench", Obs.Json.String "cost");
-            ("seed", Obs.Json.Int seed);
-            ("sweep", Obs.Json.List (List.map (fun n -> Obs.Json.Int n) ns));
-            ("rows",
-             Obs.Json.List
-               (List.map
-                  (fun r ->
-                    Obs.Json.Obj
-                      (("protocol", Obs.Json.String r.Wb_bench.Cost_core.key)
-                      :: Wb_bench.Cost_core.row_fields r))
-                  rows)) ]
-      in
-      let oc = open_out_or_die file in
-      Obs.Json.to_channel oc doc;
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "cost table: %s (%d rows)\n" file (List.length rows));
-    if !violations > 0 then begin
-      Printf.eprintf "wbctl: %d certificate violation(s)\n" !violations;
-      exit 2
-    end
+    exit_on_failure (fun () ->
+        let rep, violations = Wb_bench.Cost.sweep ~entries ~seed ~fast:false ~ns () in
+        Option.iter (fun out -> Wb_bench.Report.write ~out rep) json;
+        Wb_bench.Cost.fail_on_violations violations)
   in
   Cmd.v
     (Cmd.info "cost"
@@ -1345,10 +1316,24 @@ let metrics_cmd =
     Term.(const run $ remote_arg $ timeout_arg $ out_arg $ json_arg)
 
 let bench_cmd =
-  let all_arg =
-    Arg.(value & flag & info [ "all" ] ~doc:"Run every registered bench suite") in
+  let suites =
+    Wb_bench.
+      [ ("table1", Table1.run);
+        ("table2", Table2.run);
+        ("fig", Fig.run);
+        ("msgsize", Msgsize.run);
+        ("lattice", Lattice.run);
+        ("synth", Synth.run);
+        ("congest", Congest.run);
+        ("cost", Cost.run);
+        ("open", Openproblems.run);
+        ("explore", Explore.run);
+        ("chaos", Chaos.run) ]
+  in
+  let names = String.concat ", " (List.map fst suites) in
+  let all_arg = Arg.(value & flag & info [ "all" ] ~doc:"Run every suite") in
   let fast_arg =
-    Arg.(value & flag & info [ "fast" ] ~doc:"Trimmed parameters for CI (fewer reps, smaller graphs)")
+    Arg.(value & flag & info [ "fast" ] ~doc:"Trimmed sizes, as pinned by the test/bench goldens")
   in
   let bench_seed_arg =
     Arg.(
@@ -1356,40 +1341,14 @@ let bench_cmd =
       & opt (some int) None
       & info [ "seed" ] ~docv:"SEED" ~doc:"Override each suite's default seed")
   in
-  let history_arg =
-    Arg.(
-      value
-      & opt string "BENCH_history.jsonl"
-      & info [ "history" ] ~docv:"FILE" ~doc:"Bench-history ledger to append the reports to")
-  in
-  let no_history_arg =
-    Arg.(value & flag & info [ "no-history" ] ~doc:"Do not append the reports to the history file")
-  in
   let names_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"BENCH" ~doc:"Suites to run: explore, rpc, chaos, cost, msgsize, congest")
+    Arg.(value & pos_all string [] & info [] ~docv:"SUITE" ~doc:("Suites to run: " ^ names))
   in
-  let suites =
-    [ ("explore",
-       fun ~seed ~fast ->
-         Wb_bench.Explore_core.run ?seed ~fast ~out:"BENCH_explore.json" ());
-      ("rpc", fun ~seed ~fast -> Wb_bench.Rpc_core.run ?seed ~fast ~out:"BENCH_rpc.json" ());
-      ("chaos", fun ~seed ~fast -> Wb_bench.Chaos_core.run ?seed ~fast ~out:"BENCH_chaos.json" ());
-      ("cost", fun ~seed ~fast -> Wb_bench.Cost_core.run ?seed ~fast ~out:"BENCH_cost.json" ());
-      ("msgsize",
-       fun ~seed ~fast -> Wb_bench.Msgsize_core.run ?seed ~fast ~out:"BENCH_msgsize.json" ());
-      ("congest",
-       fun ~seed ~fast -> Wb_bench.Congest_core.run ?seed ~fast ~out:"BENCH_congest.json" ())
-    ]
-  in
-  let run all fast seed history no_history names =
+  let run all fast seed requested =
     let chosen =
       if all then suites
-      else if names = [] then begin
-        prerr_endline
-          "wbctl: name at least one bench (explore, rpc, chaos, cost, msgsize, congest) or pass \
-           --all";
+      else if requested = [] then begin
+        Printf.eprintf "wbctl: name at least one suite (%s) or pass --all\n" names;
         exit 1
       end
       else
@@ -1398,26 +1357,21 @@ let bench_cmd =
             match List.assoc_opt n suites with
             | Some f -> (n, f)
             | None ->
-              Printf.eprintf "wbctl: unknown bench %S (available: %s)\n" n
-                (String.concat ", " (List.map fst suites));
+              Printf.eprintf "wbctl: unknown suite %S (available: %s)\n" n names;
               exit 1)
-          names
+          requested
     in
     List.iter
-      (fun (_, f) ->
-        let doc = f ~seed ~fast in
-        if not no_history then Wb_bench.Report.append_history ~history doc)
-      chosen;
-    if not no_history then
-      Printf.printf "appended %d run(s) to %s\n" (List.length chosen) history
+      (fun (_, (f : ?seed:int -> ?fast:bool -> ?out:string -> unit -> unit)) ->
+        exit_on_failure (fun () -> f ?seed ~fast ()))
+      chosen
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the machine-readable bench suites (schema-versioned BENCH_*.json reports) and \
-          append them to the bench history that scripts/benchdiff.ml gates on")
-    Term.(
-      const run $ all_arg $ fast_arg $ bench_seed_arg $ history_arg $ no_history_arg $ names_arg)
+         "Regenerate the paper's tables and the extension experiments: each suite prints a \
+          deterministic table and writes BENCH_<suite>.json, exiting 2 on a failed check")
+    Term.(const run $ all_arg $ fast_arg $ bench_seed_arg $ names_arg)
 
 let graph_cmd =
   let run family n p seed =

@@ -77,7 +77,6 @@ let has_suffix needle p =
 let determinism_exempt p =
   let cs = components p in
   has_infix [ "lib"; "obs" ] cs || has_infix [ "lib"; "net" ] cs
-  || has_infix [ "bench" ] cs
   (* lib/lint times its own passes (per-rule wall time in --json); the
      linter never runs inside a refereed execution, so the determinism
      contract does not extend to it. *)

@@ -46,9 +46,10 @@ val components : string -> string list
     share. *)
 
 val determinism_exempt : string -> bool
-(** [lib/obs] (timestamps in traces), [lib/net] (socket timeouts),
-    [bench/] (wall-clock measurement) and [lib/lint] (per-rule pass
-    timing) may read clocks; nothing else. *)
+(** [lib/obs] (timestamps in traces), [lib/net] (socket timeouts) and
+    [lib/lint] (per-rule pass timing) may read clocks; nothing else.
+    [bench/] is deliberately absent: its suites are deterministic tables,
+    and wall-clock measurement lives in [perfbench/]. *)
 
 val prof_exempt : string -> bool
 (** Where [Wb_obs.Prof.phase] hooks may appear: the {!determinism_exempt}

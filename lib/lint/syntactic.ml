@@ -42,7 +42,7 @@ let lint_structure ~path ~ctx str =
     (if (not prof_exempt) && is_prof_phase comps then
        add Rules.determinism loc
          "Prof.phase reads the wall clock; profiling hooks stay in lib/obs, \
-          lib/net, lib/core and bench/, never in model or protocol code");
+          lib/net and lib/core, never in model, protocol or bench code");
     (if not det_exempt then
        match comps with
        | "Random" :: _ :: _ ->
@@ -57,8 +57,8 @@ let lint_structure ~path ~ctx str =
               f)
        | [ "Sys"; "time" ] | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] ->
          add Rules.determinism loc
-           "wall-clock reads make runs unreplayable; only lib/obs, lib/net and \
-            bench/ may time"
+           "wall-clock reads make runs unreplayable; only lib/obs and lib/net may \
+            time (wall-clock benchmarks live in perfbench)"
        | _ -> ());
     (if not lock_exempt then
        match comps with

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Full CI pipeline: build everything, run the unit/property suites, then
-# the end-to-end aliases (telemetry artifacts, networked sessions, the
-# parallel-vs-sequential exploration differential).  The aliases are
-# --force'd so the e2e paths re-run even on a warm _build.
+# Full CI pipeline: build everything, run the unit/property suites and the
+# bench goldens (test/bench), then the end-to-end aliases (telemetry
+# artifacts, networked sessions, the parallel-vs-sequential exploration
+# differential).  The aliases are --force'd so the e2e paths re-run even
+# on a warm _build.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -40,9 +41,3 @@ dune build @check-cost --force
 # a 100+-run seed sweep across all four model classes with the
 # crash-replay differential enforced on every run.
 dune build @check-chaos --force
-
-# The bench history and regression gate: two fast suite runs through
-# `wbctl bench`, a benchdiff of the second against the first (the table
-# lands in the job log and as an artifact), and the pinned gate fixture
-# that must exit 1.
-dune build @check-bench --force

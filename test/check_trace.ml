@@ -1,13 +1,13 @@
 (* Standalone validator for the telemetry artifacts the toolchain emits:
    JSONL event traces, Chrome (Catapult) trace files, metrics snapshots and
-   BENCH_<section>.json sidecars.  Driven by the [check-obs] dune alias on
+   BENCH_<suite>.json bench reports.  Driven by the [check-obs] dune alias on
    freshly produced files; exits non-zero with a message on the first
    malformed artifact.
 
      check_trace.exe FILE...
 
    The kind of each FILE is inferred from its name: [*.jsonl] is an event
-   trace, [BENCH_*.json] a bench sidecar, a name containing [chrome] a
+   trace, [BENCH_*.json] a bench report, a name containing [chrome] a
    Catapult trace, and anything else a metrics snapshot. *)
 
 module J = Wb_obs.Json
@@ -170,13 +170,13 @@ let check_metrics path =
   | _ -> fail "%s: engine.runs counter missing or zero" path);
   Printf.printf "ok %-28s metrics snapshot\n" path
 
-(* --- bench sidecars ----------------------------------------------------- *)
+(* --- bench reports -------------------------------------------------- *)
 
 let check_bench path =
   let v = parse path (read_file path) in
   (match J.to_int (require path v "schema") with
-  | Some 1 -> ()
-  | Some n -> fail "%s: unsupported bench schema %d (want 1)" path n
+  | Some 2 -> ()
+  | Some n -> fail "%s: unsupported bench schema %d (want 2)" path n
   | None -> fail "%s: schema is not an int" path);
   (match J.to_str (require path v "bench") with
   | Some _ -> ()
@@ -184,13 +184,13 @@ let check_bench path =
   (match J.to_int (require path v "seed") with
   | Some _ -> ()
   | None -> fail "%s: seed is not an int" path);
-  (match J.to_str (require path v "git") with
-  | Some _ -> ()
-  | None -> fail "%s: git is not a string" path);
   ignore (require path v "params");
-  ignore (require path v "wall_s");
-  ignore (require path v "registry");
-  (match J.to_list (require path v "rows") with
+  (* A report is a function of its suite, seed and params: nothing that
+     varies run to run may ride in it. *)
+  List.iter
+    (fun k -> if Option.is_some (J.member k v) then fail "%s: unexpected %S member" path k)
+    [ "git"; "wall_s"; "metrics"; "registry" ];
+  match J.to_list (require path v "rows") with
   | None -> fail "%s: rows is not a list" path
   | Some rows ->
     List.iter
@@ -199,8 +199,7 @@ let check_bench path =
         | Some _ -> ()
         | None -> fail "%s: row without a name" path)
       rows;
-    ignore (require path v "metrics");
-    Printf.printf "ok %-28s %d rows\n" path (List.length rows))
+    Printf.printf "ok %-28s %d rows\n" path (List.length rows)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

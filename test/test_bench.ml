@@ -1,175 +1,59 @@
-(* Wb_bench: the shared report schema, the uniform bench CLI and the
-   history diff / regression gate that scripts/benchdiff.ml drives. *)
+(* Wb_bench: the schema-2 report envelope and the paper check that fails a
+   suite.  The suites' tables themselves are pinned as goldens under
+   test/bench. *)
 
 module J = Wb_obs.Json
 module Report = Wb_bench.Report
-module Diff = Wb_bench.Diff
 
 let check msg = Alcotest.(check bool) msg true
 
-let argv l = Array.of_list ("bench" :: l)
-
-let cli_tests =
-  [ Alcotest.test_case "defaults" `Quick (fun () ->
-        let c = Report.Cli.parse ~argv:(argv []) () in
-        check "no seed" (c.Report.Cli.seed = None);
-        check "no out" (c.Report.Cli.out = None);
-        check "not fast" (not c.Report.Cli.fast);
-        check "no rest" (c.Report.Cli.rest = []);
-        Alcotest.(check int) "seed falls back to the default" 2012
-          (Report.Cli.seed c ~default:2012));
-    Alcotest.test_case "flags in any order, rest preserved in order" `Quick (fun () ->
-        let c =
-          Report.Cli.parse
-            ~argv:(argv [ "table2"; "--seed"; "7"; "--fast"; "fig"; "--out"; "x.json" ])
-            ()
-        in
-        check "seed parsed" (c.Report.Cli.seed = Some 7);
-        Alcotest.(check int) "seed overrides the default" 7 (Report.Cli.seed c ~default:2012);
-        check "out parsed" (c.Report.Cli.out = Some "x.json");
-        check "fast parsed" c.Report.Cli.fast;
-        check "rest keeps order" (c.Report.Cli.rest = [ "table2"; "fig" ])) ]
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let report_tests =
-  [ Alcotest.test_case "the envelope carries the schema and flattened metrics" `Quick
+  [ Alcotest.test_case "the envelope carries schema 2 and nothing run-dependent" `Quick
       (fun () ->
-        let rep = Report.create ~params:[ ("n", J.Int 12) ] ~bench:"unit" ~seed:5 () in
-        Report.add_row rep ~name:"grid"
-          [ ("rounds", J.Int 9);
-            ("wall_s", J.Float 0.25);
-            ("label", J.String "not a metric");
-            ("activate", J.Obj [ ("p99", J.Int 40); ("unit", J.String "us") ]) ];
-        Report.add_metric rep "extra" 1.5;
+        let rep =
+          Report.create ~params:[ ("n", J.Int 12) ] ~bench:"unit" ~seed:5 ~fast:true ()
+        in
+        Report.add_row rep ~name:"grid" [ ("rounds", J.Int 9) ];
         let doc = Report.to_json rep in
-        check "schema is 1" (Report.schema_of doc = Some 1);
-        check "bench name round-trips" (Report.bench_of doc = Some "unit");
-        (match J.member "seed" doc with
-        | Some (J.Int 5) -> ()
-        | _ -> Alcotest.fail "seed missing from the envelope");
-        (match J.member "git" doc with
-        | Some (J.String _) -> ()
-        | _ -> Alcotest.fail "git rev missing from the envelope");
-        (match J.member "rows" doc with
+        (match doc with
+        | J.Obj kvs ->
+          Alcotest.(check (list string))
+            "exactly the schema-2 members" [ "schema"; "bench"; "seed"; "params"; "rows" ]
+            (List.map fst kvs)
+        | _ -> Alcotest.fail "the envelope is not an object");
+        check "schema is 2" (J.member "schema" doc = Some (J.Int 2));
+        check "bench name" (J.member "bench" doc = Some (J.String "unit"));
+        check "seed" (J.member "seed" doc = Some (J.Int 5));
+        check "params end with fast"
+          (J.member "params" doc = Some (J.Obj [ ("n", J.Int 12); ("fast", J.Bool true) ]));
+        match J.member "rows" doc with
         | Some (J.List [ J.Obj row ]) ->
           check "the row is named" (List.assoc_opt "name" row = Some (J.String "grid"))
         | _ -> Alcotest.fail "rows missing");
-        let metrics = Report.metrics_of doc in
-        let get k = List.assoc_opt k metrics in
-        check "int fields flatten" (get "grid.rounds" = Some 9.);
-        check "float fields flatten" (get "grid.wall_s" = Some 0.25);
-        check "nested objects flatten one level" (get "grid.activate.p99" = Some 40.);
-        check "strings are not metrics" (get "grid.label" = None);
-        check "explicit metrics survive" (get "extra" = Some 1.5);
-        check "wall_s is always present" (Option.is_some (get "wall_s")));
     Alcotest.test_case "default_out derives from the bench name" `Quick (fun () ->
-        let rep = Report.create ~bench:"explore" ~seed:1 () in
+        let rep = Report.create ~bench:"explore" ~seed:1 ~fast:false () in
         Alcotest.(check string) "BENCH_<bench>.json" "BENCH_explore.json"
-          (Report.default_out rep)) ]
-
-let stats_tests =
-  [ Alcotest.test_case "median" `Quick (fun () ->
-        check "odd count picks the middle" (Diff.median [ 3.; 1.; 2. ] = 2.);
-        check "even count averages the middles" (Diff.median [ 4.; 1.; 2.; 3. ] = 2.5);
-        check "empty raises"
-          (match Diff.median [] with exception Invalid_argument _ -> true | _ -> false));
-    Alcotest.test_case "mad" `Quick (fun () ->
-        check "constant data has zero deviation" (Diff.mad [ 5.; 5.; 5. ] = 0.);
-        check "100 and 104 around their median deviate by 2" (Diff.mad [ 100.; 104. ] = 2.));
-    Alcotest.test_case "parse_gate" `Quick (fun () ->
-        (match Diff.parse_gate "p99:+10%" with
-        | Some g ->
-          Alcotest.(check string) "pattern" "p99" g.Diff.pat;
-          check "percentage" (g.Diff.pct = 10.)
-        | None -> Alcotest.fail "p99:+10% should parse");
-        (match Diff.parse_gate "us:25" with
-        | Some g -> check "plus and percent are optional" (g.Diff.pct = 25.)
-        | None -> Alcotest.fail "us:25 should parse");
+          (Report.default_out rep));
+    Alcotest.test_case "same-seed runs write identical reports" `Quick (fun () ->
         List.iter
-          (fun s -> check (s ^ " is rejected") (Diff.parse_gate s = None))
-          [ "p99"; ":+10%"; "p99:ten"; "p99:-5%" ]) ]
+          (fun (name, run) ->
+            let a = Filename.temp_file "bench" ".json" in
+            let b = Filename.temp_file "bench" ".json" in
+            run ~out:a;
+            run ~out:b;
+            Alcotest.(check string) (name ^ " report") (read_file a) (read_file b);
+            Sys.remove a;
+            Sys.remove b)
+          [ ("explore", fun ~out -> Wb_bench.Explore.run ~fast:true ~out ());
+            ("chaos", fun ~out -> Wb_bench.Chaos.run ~fast:true ~out ()) ]) ]
 
-(* A minimal schema-1 document: just the members the diff reads. *)
-let doc ~bench metrics =
-  J.Obj
-    [ ("schema", J.Int 1);
-      ("bench", J.String bench);
-      ("metrics", J.Obj (List.map (fun (k, v) -> (k, J.Float v)) metrics)) ]
+let check_tests =
+  [ Alcotest.test_case "a false paper check raises" `Quick (fun () ->
+        match Wb_bench.Harness.check false "row %d  " 2 with
+        | () -> Alcotest.fail "a false check returned"
+        | exception Failure msg ->
+          Alcotest.(check string) "the message names the row" "paper check failed: row 2" msg) ]
 
-let diff_tests =
-  [ Alcotest.test_case "no priors: reported as new, never regressed" `Quick (fun () ->
-        let rows =
-          Diff.compare_run
-            ~gates:[ { Diff.pat = "us"; pct = 0. } ]
-            ~priors:[]
-            (doc ~bench:"b" [ ("p99_us", 1000.) ])
-        in
-        match rows with
-        | [ r ] ->
-          Alcotest.(check int) "no prior runs" 0 r.Diff.prior_runs;
-          check "gated still" r.Diff.gated;
-          check "but not regressed" (not r.Diff.regressed)
-        | _ -> Alcotest.fail "expected one row");
-    Alcotest.test_case "the noise floor absorbs jitter a tight gate would trip" `Quick
-      (fun () ->
-        (* priors 100/110/90: median 100, MAD 10, noise floor 30 — a 15%
-           bump is jitter here even under a +1% gate. *)
-        let priors =
-          [ doc ~bench:"b" [ ("rpc.p99_us", 100.) ];
-            doc ~bench:"b" [ ("rpc.p99_us", 110.) ];
-            doc ~bench:"b" [ ("rpc.p99_us", 90.) ] ]
-        in
-        let gates = [ { Diff.pat = "p99"; pct = 1. } ] in
-        let rows =
-          Diff.compare_run ~gates ~priors (doc ~bench:"b" [ ("rpc.p99_us", 115.) ])
-        in
-        (match rows with
-        | [ r ] -> check "within 3 MADs: not regressed" (not r.Diff.regressed)
-        | _ -> Alcotest.fail "expected one row");
-        let rows =
-          Diff.compare_run ~gates ~priors (doc ~bench:"b" [ ("rpc.p99_us", 140.) ])
-        in
-        match rows with
-        | [ r ] -> check "beyond 3 MADs: regressed" r.Diff.regressed
-        | _ -> Alcotest.fail "expected one row");
-    Alcotest.test_case "the @check-bench gate fixture regresses as pinned" `Quick (fun () ->
-        (* Mirrors test/bench/history.jsonl + regressed.json: priors 100 and
-           104 give median 102, MAD 2, so the +10% gate threshold is
-           102 + max(10.2, 6) = 112.2; the fixture's 200 must trip it and
-           benchdiff must exit 1.  Keep in sync with those files. *)
-        let priors =
-          [ doc ~bench:"rpc" [ ("rpc.p99_us", 100.) ];
-            doc ~bench:"rpc" [ ("rpc.p99_us", 104.) ] ]
-        in
-        let gates = [ Option.get (Diff.parse_gate "p99:+10%") ] in
-        let rows =
-          Diff.compare_run ~gates ~priors (doc ~bench:"rpc" [ ("rpc.p99_us", 200.) ])
-        in
-        match rows with
-        | [ r ] ->
-          check "baseline is the median of the priors" (r.Diff.baseline = 102.);
-          check "regressed" r.Diff.regressed;
-          Alcotest.(check int) "one regression listed" 1
-            (List.length (Diff.regressions rows));
-          (* just under the threshold stays clean *)
-          let ok =
-            Diff.compare_run ~gates ~priors (doc ~bench:"rpc" [ ("rpc.p99_us", 112.) ])
-          in
-          check "112 < 112.2: clean" (Diff.regressions ok = [])
-        | _ -> Alcotest.fail "expected one row");
-    Alcotest.test_case "ungated metrics are reported only" `Quick (fun () ->
-        let priors = [ doc ~bench:"b" [ ("alloc_words", 10.) ] ] in
-        let rows =
-          Diff.compare_run ~gates:[] ~priors (doc ~bench:"b" [ ("alloc_words", 10000.) ])
-        in
-        match rows with
-        | [ r ] ->
-          check "not gated" (not r.Diff.gated);
-          check "not regressed without a gate" (not r.Diff.regressed);
-          check "delta still computed" (r.Diff.delta_pct > 0.)
-        | _ -> Alcotest.fail "expected one row") ]
-
-let suites =
-  [ ("bench.cli", cli_tests);
-    ("bench.report", report_tests);
-    ("bench.stats", stats_tests);
-    ("bench.diff", diff_tests) ]
+let suites = [ ("bench.report", report_tests); ("bench.check", check_tests) ]

@@ -72,8 +72,8 @@ let certificate_tests =
     Alcotest.test_case "every registry certificate holds at n=16" `Quick (fun () ->
         List.iter
           (fun (e : Reg.entry) ->
-            let r = Wb_bench.Cost_core.measure e ~seed:2012 ~n:16 in
-            check (e.Reg.key ^ " verdict") (Cost.verdict_ok r.Wb_bench.Cost_core.verdict))
+            let r = Wb_bench.Cost.measure e ~seed:2012 ~n:16 in
+            check (e.Reg.key ^ " verdict") (Cost.verdict_ok r.Wb_bench.Cost.verdict))
           (Reg.all ()));
     Alcotest.test_case "registry floors match Wb_reductions.Counting" `Quick (fun () ->
         (* The registry duplicates the Lemma 3 arithmetic with Wb_bignum to

@@ -54,7 +54,9 @@ let test_determinism_allowlist () =
     (fun path ->
       check_findings (path ^ " may read clocks") []
         (lint ~path "let t () = Unix.gettimeofday ()\n"))
-    [ "lib/obs/clock.ml"; "lib/net/conn.ml"; "bench/timing.ml" ]
+    [ "lib/obs/clock.ml"; "lib/net/conn.ml" ];
+  check_findings "bench/explore.ml may not read clocks" [ (det, 1) ]
+    (lint ~path:"bench/explore.ml" "let t () = Unix.gettimeofday ()\n")
 
 let test_prof_phase () =
   check_findings "Prof.phase flagged in protocol code" [ (det, 1) ]
@@ -67,7 +69,9 @@ let test_prof_phase () =
     (fun path ->
       check_findings (path ^ " may carry profiling hooks") []
         (lint ~path "let f s g = Wb_obs.Prof.phase s g\n"))
-    [ "lib/core/machine.ml"; "lib/obs/prof_test.ml"; "lib/net/wire.ml"; "bench/main.ml" ]
+    [ "lib/core/machine.ml"; "lib/obs/prof_test.ml"; "lib/net/wire.ml" ];
+  check_findings "bench/table2.ml may not carry profiling hooks" [ (det, 1) ]
+    (lint ~path:"bench/table2.ml" "let f s g = Wb_obs.Prof.phase s g\n")
 
 let test_determinism_suppressed () =
   check_findings "a well-formed suppression silences the finding" []
