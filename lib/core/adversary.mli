@@ -1,25 +1,29 @@
 (** Adversarial schedulers.
 
     Each round the engine hands the adversary the set of nodes that are
-    active and have not yet written; the adversary picks the one whose
-    message is appended to the whiteboard.  A protocol solves a problem only
+    active and have not yet written, as a read-only
+    {!Wb_support.Rankset.view}; the adversary picks the one whose message
+    is appended to the whiteboard.  The strategies below select by rank,
+    in O(log n) and without building a list.  A protocol solves a problem only
     if it succeeds under {e every} adversary, so tests combine the strategies
     here with the exhaustive exploration of {!Engine}. *)
 
 type t
 
 val name : t -> string
-val choose : t -> Board.t -> int list -> int
-(** [choose adv board candidates] returns a member of [candidates]
-    (non-empty, sorted increasing). *)
+val choose : t -> Board.t -> Wb_support.Rankset.view -> int
+(** [choose adv board candidates] returns a member of [candidates].
+    @raise Invalid_argument if [candidates] is empty or the strategy picks
+    a non-member (checked in O(1)). *)
 
 val min_id : t
-(** Always the smallest identifier — the "polite" schedule many protocols
-    implicitly think in. *)
+(** Always the smallest identifier (rank 0) — the "polite" schedule many
+    protocols implicitly think in. *)
 
 val max_id : t
 val random : Wb_support.Prng.t -> t
-(** Uniform among candidates; stateful, so reuse across runs gives fresh
+(** Uniform among candidates: one [Prng.int rng count] draw, then the
+    candidate of that rank.  Stateful, so reuse across runs gives fresh
     draws. *)
 
 val by_priority : int array -> t
@@ -31,4 +35,5 @@ val last_writer_neighbor_avoider : Wb_graph.Graph.t -> t
     writer (stress-tests layer-completion certificates in BFS protocols). *)
 
 val alternating_extremes : t
-(** Alternates between smallest and largest candidate. *)
+(** The smallest candidate when the board holds an even number of
+    messages, the largest otherwise. *)

@@ -5,11 +5,12 @@ type t = {
   messages : Message.t Dynarray.t;
   by_author : int array; (* -1 = absent *)
   mutable gen : int;
+  mutable total : int; (* running sum of payload bits *)
 }
 
 let create size =
   if size < 0 then invalid_arg "Board.create";
-  { size; messages = Dynarray.create (); by_author = Array.make size (-1); gen = 0 }
+  { size; messages = Dynarray.create (); by_author = Array.make size (-1); gen = 0; total = 0 }
 
 let n b = b.size
 
@@ -38,6 +39,7 @@ let append b m =
   if a < 0 || a >= b.size then invalid_arg "Board.append: author out of range";
   if b.by_author.(a) >= 0 then invalid_arg "Board.append: author already wrote";
   b.by_author.(a) <- length b;
+  b.total <- b.total + Message.size_bits m;
   Dynarray.push b.messages m
 
 let snapshot_length = length
@@ -46,7 +48,8 @@ let truncate b len =
   b.gen <- b.gen + 1;
   while length b > len do
     let m = Dynarray.pop b.messages in
-    b.by_author.(Message.author m) <- -1
+    b.by_author.(Message.author m) <- -1;
+    b.total <- b.total - Message.size_bits m
   done
 
 let generation b = b.gen
@@ -60,7 +63,7 @@ let equal a b =
       done;
       !same)
 
-let total_bits b = fold (fun acc m -> acc + Message.size_bits m) 0 b
+let total_bits b = b.total
 
 let max_message_bits b = fold (fun acc m -> max acc (Message.size_bits m)) 0 b
 

@@ -42,5 +42,8 @@ val generation : t -> int
     previously-read positions may have been rewritten. *)
 
 val total_bits : t -> int
+(** Payload bits of every message on the board; O(1), kept as a running
+    total by [append] and [truncate]. *)
+
 val max_message_bits : t -> int
 val pp : Format.formatter -> t -> unit

@@ -110,7 +110,9 @@ module Make (P : Protocol.S) = struct
     result
 
   (* Depth-first enumeration of every adversarial schedule over one live
-     machine, snapshot/restore at each choice point.  [List.for_all]
+     machine, snapshot/restore at each choice point.  The candidate view
+     does not survive a [restore], so each choice point copies it to a
+     list once.  [List.for_all]
      short-circuits on the first failing subtree, so the execution count on
      a failing check depends on candidate order — [verify] never
      short-circuits; see docs/EXPLORATION.md. *)
@@ -135,7 +137,7 @@ module Make (P : Protocol.S) = struct
             let ok = go () in
             M.restore m saved;
             ok)
-          candidates
+          (Wb_support.Rankset.to_list candidates)
     in
     match go () with
     | all_ok -> Ok (all_ok, !executions)
@@ -239,6 +241,7 @@ module Make (P : Protocol.S) = struct
       | `Write _ -> assert false (* settled before entry *)
       | `Done _ -> assert false (* finals are claimed before recursing *)
       | `Choices candidates ->
+        let candidates = Wb_support.Rankset.to_list candidates in
         let kept =
           List.filter
             (fun v ->
@@ -334,7 +337,7 @@ module Make (P : Protocol.S) = struct
                       else expand (v :: rev_path));
                   M.restore m saved
                 end)
-              candidates
+              (Wb_support.Rankset.to_list candidates)
         in
         let process prefix =
           feed prefix;

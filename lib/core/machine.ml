@@ -1,6 +1,7 @@
 module Obs = Wb_obs
 module G = Wb_graph.Graph
 module Mix = Wb_support.Mix
+module Rs = Wb_support.Rankset
 
 type status = Awake | Active | Terminated | Dead
 
@@ -90,7 +91,7 @@ module Make (N : NODE) = struct
   (* What the machine is waiting for between [step]s. *)
   type pending =
     | Idle  (** advance through rounds on the next [step]. *)
-    | Waiting of int list  (** a scheduling choice is open. *)
+    | Waiting  (** a scheduling choice over [live] is open. *)
     | Chosen of int  (** [pick]ed; validate and append on the next [step]. *)
 
   type t = {
@@ -114,6 +115,14 @@ module Make (N : NODE) = struct
     mutable round : int;
     mutable pending : pending;
     mutable finished : run option;
+    (* The write candidates: live nodes activated before the current round
+       that have not written.  A node activated in round r waits in [fresh]
+       and joins at round r + 1; a write or a [kill] removes it. *)
+    mutable live : Rs.t;
+    mutable awake : Rs.t;  (* exactly the nodes whose status is [Awake] *)
+    mutable fresh : int list;
+    mutable last_writer : int;  (* -1 when the previous round wrote nothing *)
+    mutable activated : bool;  (* someone activated in the current round *)
     (* Canonical-digest lanes (see [digest]): two independent Zobrist
        accumulators XOR-folding per-component contributions, maintained
        incrementally at every status, memory and board mutation.  [mem_h]
@@ -165,6 +174,11 @@ module Make (N : NODE) = struct
       round = 0;
       pending = Idle;
       finished = None;
+      live = Rs.create size;
+      awake = Rs.of_list size (List.init size Fun.id);
+      fresh = [];
+      last_writer = -1;
+      activated = false;
       z0 = 0;
       z1 = 0;
       mem_h = Array.make size 0 }
@@ -198,11 +212,11 @@ module Make (N : NODE) = struct
   let digest t =
     let acc = Mix.combine (Mix.combine t.z0 t.z1) t.round in
     match t.pending with
-    | Waiting cs -> List.fold_left (fun a v -> Mix.combine a (v + 2)) (Mix.combine acc 1) cs
+    | Waiting -> Rs.fold (fun v a -> Mix.combine a (v + 2)) (Rs.view t.live) (Mix.combine acc 1)
     | Idle | Chosen _ -> Mix.combine acc 0
 
-  let emit t ev = match t.trace with None -> () | Some tr -> Obs.Trace.emit tr ev
-
+  (* Every event is built inside a [Some tr] branch, so untraced runs
+     allocate none. *)
   let span_start t ?parent ?attrs name =
     match t.trace with
     | None -> None
@@ -218,16 +232,25 @@ module Make (N : NODE) = struct
   let inner_parent t =
     match t.span_round with Some s -> Some (Obs.Span.context s) | None -> t.root_ctx
 
+  let node_span t v name =
+    match t.trace with
+    | None -> None
+    | Some _ -> span_start t ?parent:(inner_parent t) ~attrs:[ ("node", string_of_int (v + 1)) ] name
+
   let kill t v =
     if t.status.(v) <> Dead then begin
       set_status t v Dead;
-      let parent = inner_parent t in
-      span_finish t (span_start t ?parent ~attrs:[ ("node", string_of_int (v + 1)) ] "fault")
+      Rs.remove t.live v;
+      Rs.remove t.awake v;
+      (* A killed pick never writes: the choice reopens without it. *)
+      (match t.pending with
+      | Chosen w when w = v -> t.pending <- Waiting
+      | Idle | Waiting | Chosen _ -> ());
+      span_finish t (node_span t v "fault")
     end
 
   let compose_now t v =
-    let parent = inner_parent t in
-    let sp = span_start t ?parent ~attrs:[ ("node", string_of_int (v + 1)) ] "compose" in
+    let sp = node_span t v "compose" in
     (match N.compose ~round:t.round t.views.(v) t.board t.locals.(v) with
     | None -> kill t v
     | Some (m, local) ->
@@ -239,7 +262,10 @@ module Make (N : NODE) = struct
       t.memory.(v) <- Some m;
       t.compose_count.(v) <- t.compose_count.(v) + 1;
       Obs.Metrics.incr m_composes;
-      emit t (Obs.Event.Compose { node = v; round = t.round; bits = Message.size_bits m }));
+      match t.trace with
+      | None -> ()
+      | Some tr ->
+        Obs.Trace.emit tr (Obs.Event.Compose { node = v; round = t.round; bits = Message.size_bits m }));
     span_finish t sp
 
   (* Close the ledger's open round and publish its summary while the round
@@ -250,16 +276,40 @@ module Make (N : NODE) = struct
     match t.cost with
     | None -> ()
     | Some l -> (
-      match Obs.Cost.flush_round l with
-      | None -> ()
-      | Some { Obs.Cost.round; writes; bits } ->
-        emit t
-          (Obs.Event.Cost_round { round; writes; bits; board_bits = Board.total_bits t.board }))
+      match (Obs.Cost.flush_round l, t.trace) with
+      | Some { Obs.Cost.round; writes; bits }, Some tr ->
+        Obs.Trace.emit tr
+          (Obs.Event.Cost_round { round; writes; bits; board_bits = Board.total_bits t.board })
+      | _ -> ())
 
-  (* One deterministic round prefix: terminations, candidate collection,
-     activations, synchronous recomposition.  Returns the write candidates
-     (filtered to live nodes holding a message — the filter is identity on
-     fault-free executions) and whether anyone activated. *)
+  (* Visited for every member of [awake] at the start of the loop; a hook
+     may kill a node meanwhile, including the one it answers for (a faulted
+     query), and a dead node never activates, however it answered. *)
+  let activate t v =
+    if t.status.(v) = Awake
+       && (if simultaneous then t.round = 1
+           else N.wants_to_activate ~round:t.round t.views.(v) t.board t.locals.(v))
+       && t.status.(v) = Awake
+    then begin
+      set_status t v Active;
+      Rs.remove t.awake v;
+      t.fresh <- v :: t.fresh;
+      t.activation_round.(v) <- t.round;
+      t.activated <- true;
+      (match t.trace with
+      | None -> ()
+      | Some tr -> Obs.Trace.emit tr (Obs.Event.Activate { node = v; round = t.round }));
+      if frozen then compose_now t v
+    end
+
+  let recompose t v = if t.status.(v) = Active then compose_now t v
+
+  (* One deterministic round prefix: the previous round's writer
+     terminates (one node writes per round, so no other node can), last
+     round's activations join the candidates, awake nodes activate, and
+     synchronous models recompose every candidate.  Afterwards [live] holds
+     exactly the candidates that hold a message, and [activated] says
+     whether anyone activated. *)
   let round_prefix t =
     Obs.Prof.phase prof_round (fun () ->
     flush_cost t;
@@ -268,59 +318,42 @@ module Make (N : NODE) = struct
     span_finish t t.span_round;
     t.span_round <- None;
     t.round <- t.round + 1;
-    emit t (Obs.Event.Round_start { round = t.round });
+    (match t.trace with
+    | None -> ()
+    | Some tr -> Obs.Trace.emit tr (Obs.Event.Round_start { round = t.round }));
     t.span_round <- span_start t ?parent:t.root_ctx "round";
-    for v = 0 to t.size - 1 do
-      if t.status.(v) = Active && Board.has_author t.board v then set_status t v Terminated
-    done;
-    let candidates = ref [] in
-    for v = t.size - 1 downto 0 do
-      if t.status.(v) = Active then candidates := v :: !candidates
-    done;
-    Obs.Metrics.observe m_candidates (List.length !candidates);
-    let activated = ref false in
-    for v = 0 to t.size - 1 do
-      if t.status.(v) = Awake then begin
-        let goes =
-          if simultaneous then t.round = 1
-          else N.wants_to_activate ~round:t.round t.views.(v) t.board t.locals.(v)
-        in
-        (* [wants_to_activate] may kill the node (a faulted query): a dead
-           node never activates, however it answered. *)
-        if goes && t.status.(v) = Awake then begin
-          set_status t v Active;
-          t.activation_round.(v) <- t.round;
-          activated := true;
-          emit t (Obs.Event.Activate { node = v; round = t.round });
-          if frozen then compose_now t v
-        end
-      end
-    done;
-    if not frozen then
-      List.iter (fun v -> if t.status.(v) = Active then compose_now t v) !candidates;
-    ( List.filter (fun v -> t.status.(v) = Active && Option.is_some t.memory.(v)) !candidates,
-      !activated ))
+    (match t.last_writer with
+    | -1 -> ()
+    | w ->
+      if t.status.(w) = Active then set_status t w Terminated;
+      t.last_writer <- -1);
+    List.iter (fun v -> if t.status.(v) = Active then Rs.add t.live v) t.fresh;
+    t.fresh <- [];
+    Obs.Metrics.observe m_candidates (Rs.count (Rs.view t.live));
+    t.activated <- false;
+    Rs.iter (activate t) (Rs.view t.awake);
+    if not frozen then Rs.iter (recompose t) (Rs.view t.live))
 
   let do_write t v =
     match t.memory.(v) with
     | None -> assert false
     | Some m ->
       Board.append t.board m;
+      Rs.remove t.live v;
+      t.last_writer <- v;
       stamp t (Mix.combine 0x42 t.mem_h.(v));
       t.write_round.(v) <- t.round;
       Obs.Metrics.incr m_writes;
-      Obs.Metrics.set m_board_bits (Board.total_bits t.board);
+      let board_bits = Board.total_bits t.board in
+      Obs.Metrics.set m_board_bits board_bits;
       (match t.cost with
       | None -> ()
-      | Some l ->
-        Obs.Cost.record l ~round:t.round ~bits:(Message.size_bits m)
-          ~board_bits:(Board.total_bits t.board));
-      emit t
-        (Obs.Event.Write
-           { node = v;
-             round = t.round;
-             bits = Message.size_bits m;
-             board_bits = Board.total_bits t.board })
+      | Some l -> Obs.Cost.record l ~round:t.round ~bits:(Message.size_bits m) ~board_bits);
+      match t.trace with
+      | None -> ()
+      | Some tr ->
+        Obs.Trace.emit tr
+          (Obs.Event.Write { node = v; round = t.round; bits = Message.size_bits m; board_bits })
 
   let finish t outcome =
     flush_cost t;
@@ -329,15 +362,17 @@ module Make (N : NODE) = struct
     Obs.Metrics.add m_rounds t.round;
     Array.iter (Obs.Metrics.observe m_compose_per_node) t.compose_count;
     (match outcome with Deadlock -> Obs.Metrics.incr m_deadlocks | _ -> ());
-    (match outcome with
-    | Deadlock -> emit t (Obs.Event.Deadlock_detected { round = t.round })
+    (match (t.trace, outcome) with
+    | Some tr, Deadlock -> Obs.Trace.emit tr (Obs.Event.Deadlock_detected { round = t.round })
     | _ -> ());
     (* Spans close before the terminal event: Run_end stays last. *)
     span_finish t t.span_round;
     t.span_round <- None;
     span_finish t t.span_root;
     t.span_root <- None;
-    emit t (Obs.Event.Run_end { round = t.round; outcome = outcome_tag outcome });
+    (match t.trace with
+    | None -> ()
+    | Some tr -> Obs.Trace.emit tr (Obs.Event.Run_end { round = t.round; outcome = outcome_tag outcome }));
     let run =
       { outcome;
         writes = Board.authors_in_order t.board;
@@ -367,13 +402,34 @@ module Make (N : NODE) = struct
       let bits = Message.size_bits m in
       if bits > t.bound then Some (Size_violation { node = v; bits; bound = t.bound }) else None
 
+  (* The round's choice is open over [live]; with no candidate left the
+     round ends without a write, and a round that also activated no one
+     deadlocks. *)
+  let rec open_choice t =
+    if Rs.count (Rs.view t.live) > 0 then begin
+      t.pending <- Waiting;
+      `Choices (Rs.view t.live)
+    end
+    else begin
+      t.pending <- Idle;
+      if t.activated then advance t else `Done (finish t Deadlock)
+    end
+
+  and advance t =
+    if Board.length t.board = t.size then `Done (finish t (success_outcome t))
+    else if t.round >= t.max_rounds then `Done (finish t Deadlock)
+    else begin
+      round_prefix t;
+      open_choice t
+    end
+
   let step t =
     Obs.Prof.phase prof_step (fun () ->
     match t.finished with
     | Some run -> `Done run
     | None -> (
       match t.pending with
-      | Waiting candidates -> `Choices candidates
+      | Waiting -> open_choice t
       | Chosen v -> (
         t.pending <- Idle;
         match check_size t v with
@@ -381,27 +437,20 @@ module Make (N : NODE) = struct
         | None ->
           do_write t v;
           `Write v)
-      | Idle ->
-        let rec advance () =
-          if Board.length t.board = t.size then `Done (finish t (success_outcome t))
-          else if t.round >= t.max_rounds then `Done (finish t Deadlock)
-          else
-            match round_prefix t with
-            | [], false -> `Done (finish t Deadlock)
-            | [], true -> advance ()
-            | candidates, _ ->
-              t.pending <- Waiting candidates;
-              `Choices candidates
-        in
-        advance ()))
+      | Idle -> advance t))
 
   let pick t v =
     Obs.Prof.phase prof_pick (fun () ->
     match t.pending with
-    | Waiting candidates when List.exists (Int.equal v) candidates ->
-      emit t (Obs.Event.Adversary_pick { node = v; round = t.round; candidates });
+    | Waiting when Rs.mem (Rs.view t.live) v ->
+      (match t.trace with
+      | None -> ()
+      | Some tr ->
+        Obs.Trace.emit tr
+          (Obs.Event.Adversary_pick
+             { node = v; round = t.round; candidates = Rs.to_list (Rs.view t.live) }));
       t.pending <- Chosen v
-    | Waiting _ -> invalid_arg "Machine.pick: not a candidate"
+    | Waiting -> invalid_arg "Machine.pick: not a candidate"
     | Idle | Chosen _ -> invalid_arg "Machine.pick: no scheduling choice is open")
 
   type snapshot = {
@@ -414,6 +463,11 @@ module Make (N : NODE) = struct
     s_round : int;
     s_board_len : int;
     s_pending : pending;
+    s_live : Rs.t;
+    s_awake : Rs.t;
+    s_fresh : int list;
+    s_last_writer : int;
+    s_activated : bool;
     s_z0 : int;
     s_z1 : int;
     s_mem_h : int array;
@@ -429,6 +483,11 @@ module Make (N : NODE) = struct
       s_round = t.round;
       s_board_len = Board.snapshot_length t.board;
       s_pending = t.pending;
+      s_live = Rs.copy t.live;
+      s_awake = Rs.copy t.awake;
+      s_fresh = t.fresh;
+      s_last_writer = t.last_writer;
+      s_activated = t.activated;
       s_z0 = t.z0;
       s_z1 = t.z1;
       s_mem_h = Array.copy t.mem_h }
@@ -443,6 +502,11 @@ module Make (N : NODE) = struct
     t.round <- s.s_round;
     Board.truncate t.board s.s_board_len;
     t.pending <- s.s_pending;
+    t.live <- Rs.copy s.s_live;
+    t.awake <- Rs.copy s.s_awake;
+    t.fresh <- s.s_fresh;
+    t.last_writer <- s.s_last_writer;
+    t.activated <- s.s_activated;
     t.z0 <- s.s_z0;
     t.z1 <- s.s_z1;
     t.mem_h <- Array.copy s.s_mem_h;

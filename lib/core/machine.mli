@@ -5,10 +5,11 @@
     protocol hooks in RPCs and injects faults via {!Make.kill}.
 
     Operational semantics (one round):
-    + nodes whose message appears on the board become terminated;
+    + the previous round's writer becomes terminated (one node writes per
+      round, so no other node can newly terminate);
     + the {e write candidates} are the nodes already active at the start of
-      the round (a node never activates and writes in the same round, per
-      the paper's successor-configuration rule);
+      the round that have not written (a node never activates and writes in
+      the same round, per the paper's successor-configuration rule);
     + awake nodes may activate — all of them in round one under simultaneous
       models, by [wants_to_activate] otherwise; in frozen models the
       activating node composes its message now, from the current board, and
@@ -17,6 +18,14 @@
       board;
     + the driver picks one candidate ({!Make.pick}) and its current message
       is appended on the next {!Make.step}.
+
+    The candidates are a live {!Wb_support.Rankset} that the machine updates
+    as it goes: a node activated in round r joins it at round r + 1, and a
+    write or a {!Make.kill} removes it.  Only awake nodes are visited for
+    activation.  Bookkeeping therefore costs O(log n) per write, plus one
+    visit per awake node per round under free activation (and one per
+    candidate in synchronous models, which recompose them all), and
+    untraced runs construct no {!Wb_obs.Event} values.
 
     The execution succeeds when all [n] messages are on the board, and
     deadlocks when no candidate exists and no awake node activates, or when
@@ -119,10 +128,14 @@ module Make (N : NODE) : sig
       is reproducible.  Sibling machines sharing one parent mint identical
       ids, so give each its own parent span. *)
 
-  val step : t -> [ `Choices of int list | `Write of int | `Done of run ]
+  val step : t -> [ `Choices of Wb_support.Rankset.view | `Write of int | `Done of run ]
   (** Advance until something needs the driver:
-      - [`Choices cs] — a scheduling choice is open; call {!pick} (the same
-        [`Choices] is returned until then);
+      - [`Choices cs] — a scheduling choice is open over the candidates
+        [cs]; call {!pick} (the same [`Choices] is returned until then).
+        [cs] is a read-only view of the machine's live candidate set, not
+        a copy: it is valid until the next [step], [pick], [kill] or
+        [restore] on this machine.  A driver that keeps the candidates
+        across those calls copies them first ({!Wb_support.Rankset.to_list});
       - [`Write v] — the message picked last time was appended (one
         observable frame for the referee to broadcast);
       - [`Done run] — the execution is over; further [step]s return the
@@ -130,13 +143,19 @@ module Make (N : NODE) : sig
 
   val pick : t -> int -> unit
   (** Resolve the open choice with one of its candidates (emits
-      [Adversary_pick]).  @raise Invalid_argument if no choice is open or
-      the node is not a candidate. *)
+      [Adversary_pick] when traced).  Membership is checked in O(1).
+      @raise Invalid_argument if no choice is open or the node is not a
+      candidate — including a candidate {!kill}ed since the choice opened. *)
 
   val kill : t -> int -> unit
   (** Mark a node dead (networked transport fault).  A dead node never
       activates, composes or writes again; a board that can no longer fill
-      deadlocks by round exhaustion. *)
+      deadlocks by round exhaustion.  On an open choice the node leaves
+      the candidates at once, and a picked node that has not yet written
+      is un-picked (the choice reopens).  A kill that empties the open
+      choice ends the round without a write: the next [step] advances to
+      the next round, or reports deadlock when nobody activated in this
+      round. *)
 
   val board : t -> Board.t
   val round : t -> int
@@ -154,13 +173,17 @@ module Make (N : NODE) : sig
       carry nothing beyond the hashed components.  Meaningful at [`Choices]
       and [`Done] points; equal digests identify equal configurations up to
       63-bit hash collisions (the standard hash-compaction caveat,
-      docs/EXPLORATION.md).  Stable across {!snapshot}/{!restore}. *)
+      docs/EXPLORATION.md).  Stable across {!snapshot}/{!restore}.  The
+      open candidate set is folded in increasing id order. *)
 
   type snapshot
 
   val snapshot : t -> snapshot
-  (** O(n) copy of the mutable state; the board is captured by length only
-      (it is append-only between snapshot and restore). *)
+  (** O(n) copy of the mutable state — per-node arrays, the candidate and
+      awake sets, the nodes waiting to join the candidates, the previous
+      round's writer and whether the current round activated anyone; the
+      board is captured by length only (it is append-only between snapshot
+      and restore). *)
 
   val restore : t -> snapshot -> unit
   (** Rewind to [snapshot] — including an open choice, and {e un}-finishing

@@ -59,14 +59,23 @@ let diff_into dst src =
   same_capacity dst src "diff_into";
   Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) land lnot w) src.words
 
+(* Index of the lowest set bit of a non-zero word, by binary search. *)
+let ctz w =
+  let w = ref w and r = ref 0 in
+  if !w land 0xFFFFFFFF = 0 then begin r := 32; w := !w lsr 32 end;
+  if !w land 0xFFFF = 0 then begin r := !r + 16; w := !w lsr 16 end;
+  if !w land 0xFF = 0 then begin r := !r + 8; w := !w lsr 8 end;
+  if !w land 0xF = 0 then begin r := !r + 4; w := !w lsr 4 end;
+  if !w land 0x3 = 0 then begin r := !r + 2; w := !w lsr 2 end;
+  if !w land 0x1 = 0 then r := !r + 1;
+  !r
+
 let iter f s =
   for wi = 0 to Array.length s.words - 1 do
     let w = ref s.words.(wi) in
     while !w <> 0 do
-      let low = !w land - !w in
-      let rec log2 v acc = if v = 1 then acc else log2 (v lsr 1) (acc + 1) in
-      f ((wi * word_bits) + log2 low 0);
-      w := !w land lnot low
+      f ((wi * word_bits) + ctz !w);
+      w := !w land (!w - 1)
     done
   done
 

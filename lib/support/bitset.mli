@@ -33,7 +33,9 @@ val inter_into : t -> t -> unit
 val diff_into : t -> t -> unit
 
 val iter : (int -> unit) -> t -> unit
-(** Iterates elements in increasing order. *)
+(** Iterates elements in increasing order.  Each word is read once, so the
+    callback may remove elements; a removed element in the word being
+    visited may still be visited. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> int list

@@ -5,6 +5,7 @@ let () =
          Test_bignum.suites;
          Test_graph.suites;
          Test_model.suites;
+         Test_kernel.suites;
          Test_protocols.suites;
          Test_reductions.suites;
          Test_sat.suites;

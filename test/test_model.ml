@@ -246,6 +246,19 @@ let board_tests =
         Alcotest.check_raises "double write" (Invalid_argument "Board.append: author already wrote")
           (fun () ->
             Board.append b (m 2)));
+    Alcotest.test_case "running total_bits follows appends and truncates" `Quick (fun () ->
+        let b = Board.create 6 in
+        let fold () = Board.fold (fun acc m -> acc + Message.size_bits m) 0 b in
+        let m author bits = Message.make ~author ~payload:(Array.make bits true) in
+        let agrees what = Alcotest.(check int) what (fold ()) (Board.total_bits b) in
+        List.iter (fun (a, k) -> Board.append b (m a k); agrees "append") [ (3, 5); (0, 0); (5, 9) ];
+        Board.truncate b 1;
+        agrees "truncate";
+        Alcotest.(check int) "one message left" 5 (Board.total_bits b);
+        List.iter (fun (a, k) -> Board.append b (m a k); agrees "append again") [ (0, 2); (1, 7); (4, 1) ];
+        Board.truncate b 0;
+        agrees "empty";
+        Alcotest.(check int) "zero" 0 (Board.total_bits b));
     Alcotest.test_case "authors_in_order" `Quick (fun () ->
         let b = Board.create 3 in
         List.iter
@@ -253,19 +266,23 @@ let board_tests =
           [ 1; 2; 0 ];
         Alcotest.(check (list int)) "order" [ 1; 2; 0 ] (Array.to_list (Board.authors_in_order b))) ]
 
+(* A candidate view over universe [n] holding [l]. *)
+let cands n l = Wb_support.Rankset.(view (of_list n l))
+
 let adversary_tests =
   [ Alcotest.test_case "strategies pick as documented" `Quick (fun () ->
         let b = Board.create 5 in
-        Alcotest.(check int) "min" 1 (Adversary.choose Adversary.min_id b [ 1; 3; 4 ]);
-        Alcotest.(check int) "max" 4 (Adversary.choose Adversary.max_id b [ 1; 3; 4 ]);
+        Alcotest.(check int) "min" 1 (Adversary.choose Adversary.min_id b (cands 5 [ 1; 3; 4 ]));
+        Alcotest.(check int) "max" 4 (Adversary.choose Adversary.max_id b (cands 5 [ 1; 3; 4 ]));
         Alcotest.(check int) "priority" 3
-          (Adversary.choose (Adversary.by_priority [| 0; 1; 9; 10; 2 |]) b [ 1; 3; 4 ]);
-        Alcotest.(check int) "alt even board" 1 (Adversary.choose Adversary.alternating_extremes b [ 1; 3; 4 ]));
+          (Adversary.choose (Adversary.by_priority [| 0; 1; 9; 10; 2 |]) b (cands 5 [ 1; 3; 4 ]));
+        Alcotest.(check int) "alt even board" 1
+          (Adversary.choose Adversary.alternating_extremes b (cands 5 [ 1; 3; 4 ])));
     Alcotest.test_case "random adversary stays in candidates" `Quick (fun () ->
         let adv = Adversary.random (Wb_support.Prng.create 4) in
         let b = Board.create 9 in
         for _ = 1 to 100 do
-          check "member" true (List.mem (Adversary.choose adv b [ 2; 5; 8 ]) [ 2; 5; 8 ])
+          check "member" true (List.mem (Adversary.choose adv b (cands 9 [ 2; 5; 8 ])) [ 2; 5; 8 ])
         done);
     Alcotest.test_case "avoider dodges neighbors of last writer" `Quick (fun () ->
         let g = G.Gen.star 5 in
@@ -273,7 +290,7 @@ let adversary_tests =
         let b = Board.create 5 in
         Board.append b (Message.make ~author:0 ~payload:[||]);
         (* all of 1..4 neighbor the center 0: falls back to head *)
-        Alcotest.(check int) "fallback" 1 (Adversary.choose adv b [ 1; 2; 3; 4 ])) ]
+        Alcotest.(check int) "fallback" 1 (Adversary.choose adv b (cands 5 [ 1; 2; 3; 4 ]))) ]
 
 let model_meta_tests =
   [ Alcotest.test_case "axes" `Quick (fun () ->
@@ -403,6 +420,79 @@ let digest_tests =
         let d3 = digest_after (IdM.init g) [ 2; 1; 0 ] in
         Alcotest.(check int) "same last writer merges" d1 d2;
         check "different last writer does not" true (d3 <> d1)) ]
+
+(* Free activation with one late node: node 0 activates in round 1, every
+   other node in round 2. *)
+module Late_node = struct
+  include Id_node
+
+  let model = Model.Async
+
+  let wants_to_activate ~round view _ () = View.id view = 0 || round >= 2
+end
+
+module LateM = Machine.Make (Late_node)
+
+let choices step m =
+  match step m with
+  | `Choices cs -> Wb_support.Rankset.to_list cs
+  | `Write v -> Alcotest.failf "expected a choice, node %d wrote" v
+  | `Done _ -> Alcotest.fail "expected a choice, the run ended"
+
+(* [kill] on an open choice: a dead node "never activates, composes or
+   writes again" (machine.mli), so it leaves the candidates at once. *)
+let kill_tests =
+  [ Alcotest.test_case "a killed candidate cannot be picked" `Quick (fun () ->
+        let m = IdM.init (G.Gen.complete 3) in
+        Alcotest.(check (list int)) "first choice" [ 0; 1; 2 ] (choices IdM.step m);
+        IdM.kill m 1;
+        Alcotest.check_raises "pick the dead node" (Invalid_argument "Machine.pick: not a candidate")
+          (fun () -> IdM.pick m 1);
+        Alcotest.(check (list int)) "choice without it" [ 0; 2 ] (choices IdM.step m);
+        let rec drive () =
+          match IdM.step m with
+          | `Choices cs ->
+            IdM.pick m (Wb_support.Rankset.nth cs 0);
+            drive ()
+          | `Write v ->
+            check "the dead node never writes" true (v <> 1);
+            drive ()
+          | `Done run -> run
+        in
+        let run = drive () in
+        check "deadlock" true (Machine.outcome_equal run.Machine.outcome Machine.Deadlock);
+        Alcotest.(check (list int)) "writes" [ 0; 2 ] (Array.to_list run.Machine.writes));
+    Alcotest.test_case "killing the picked node reopens the choice" `Quick (fun () ->
+        let m = IdM.init (G.Gen.complete 3) in
+        ignore (choices IdM.step m);
+        IdM.pick m 1;
+        IdM.kill m 1;
+        Alcotest.(check (list int)) "reopened" [ 0; 2 ] (choices IdM.step m));
+    Alcotest.test_case "a kill that empties the choice ends the round" `Quick (fun () ->
+        (* Node 1 activated in the emptied round, so the run goes on. *)
+        let m = LateM.init (G.Gen.complete 2) in
+        Alcotest.(check (list int)) "round 2" [ 0 ] (choices LateM.step m);
+        Alcotest.(check int) "round" 2 (LateM.round m);
+        LateM.kill m 0;
+        Alcotest.(check (list int)) "round 3" [ 1 ] (choices LateM.step m);
+        Alcotest.(check int) "next round" 3 (LateM.round m);
+        LateM.pick m 1;
+        (match LateM.step m with `Write 1 -> () | _ -> Alcotest.fail "expected node 2's write");
+        (match LateM.step m with
+        | `Done run ->
+          check "deadlock" true (Machine.outcome_equal run.Machine.outcome Machine.Deadlock);
+          Alcotest.(check int) "rounds" 4 run.Machine.stats.rounds
+        | _ -> Alcotest.fail "expected the end");
+        (* Nobody activated in the emptied round: deadlock at once. *)
+        let m = IdM.init (G.Gen.complete 2) in
+        ignore (choices IdM.step m);
+        IdM.kill m 0;
+        IdM.kill m 1;
+        match IdM.step m with
+        | `Done run ->
+          check "deadlock" true (Machine.outcome_equal run.Machine.outcome Machine.Deadlock);
+          Alcotest.(check int) "same round" 2 run.Machine.stats.rounds
+        | _ -> Alcotest.fail "expected deadlock") ]
 
 (* The canonical explorer against the naive enumerator: the Traits
    declarations are promises the type system cannot check, so this
@@ -581,6 +671,7 @@ let suites =
     ("model.lifecycle", lifecycle_tests);
     ("model.explore", explore_tests);
     ("model.digest", digest_tests);
+    ("model.kill", kill_tests);
     ("model.verify", verify_tests);
     ("model.board", board_tests);
     ("model.adversary", adversary_tests);

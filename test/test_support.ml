@@ -117,6 +117,67 @@ let bitset_tests =
         Alcotest.check_raises "add" (Invalid_argument "Bitset.add: out of range") (fun () ->
             Bitset.add s 10)) ]
 
+let rankset_tests =
+  (* Replay random add/remove/copy operations on a Rankset and on a
+     sorted-list model, comparing every observation after each step. *)
+  let agrees n s model =
+    let v = Rankset.view s in
+    Rankset.count v = List.length model
+    && Rankset.to_list v = model
+    && List.rev (Rankset.fold List.cons v []) = model
+    && List.for_all (fun i -> Rankset.mem v i = List.mem i model) (List.init (n + 2) (fun i -> i - 1))
+    && List.for_all2 (fun k x -> Rankset.nth v k = x) (List.init (List.length model) Fun.id) model
+    && Rankset.find_opt (fun x -> x mod 3 = 2) v = List.find_opt (fun x -> x mod 3 = 2) model
+    && (let seen = ref [] in
+        Rankset.iter (fun x -> seen := x :: !seen) v;
+        List.rev !seen = model)
+  in
+  let replay (n, ops) =
+    let s = ref (Rankset.create n) and model = ref [] in
+    let saved = ref (Rankset.copy !s, []) in
+    List.for_all
+      (fun (op, i) ->
+        let i = i mod n in
+        (match op mod 5 with
+        | 0 | 1 ->
+          Rankset.add !s i;
+          model := List.sort_uniq compare (i :: !model)
+        | 2 ->
+          Rankset.remove !s i;
+          model := List.filter (fun x -> x <> i) !model
+        | 3 -> saved := (Rankset.copy !s, !model)
+        | _ ->
+          (* The saved copy must not have followed later mutations. *)
+          let copy, m = !saved in
+          s := Rankset.copy copy;
+          model := m);
+        agrees n !s !model && agrees n (fst !saved) (snd !saved))
+      ops
+  in
+  [ qtest
+      (QCheck.Test.make ~name:"rankset mirrors a sorted list" ~count:300
+         QCheck.(pair (int_range 1 200) (list_of_size Gen.(int_range 0 120) (pair small_nat small_nat)))
+         replay);
+    Alcotest.test_case "rank and select across word boundaries" `Quick (fun () ->
+        let s = Rankset.of_list 200 [ 199; 0; 62; 63; 64; 125; 126 ] in
+        let v = Rankset.view s in
+        Alcotest.(check (list int)) "members" [ 0; 62; 63; 64; 125; 126; 199 ] (Rankset.to_list v);
+        Alcotest.(check (list int)) "nth" [ 0; 62; 63; 64; 125; 126; 199 ]
+          (List.init (Rankset.count v) (Rankset.nth v));
+        Rankset.remove s 63;
+        (* The view observes the set it was taken from. *)
+        Alcotest.(check int) "view follows" 64 (Rankset.nth v 2);
+        check "mem outside the universe" false (Rankset.mem v 200 || Rankset.mem v (-1));
+        Alcotest.check_raises "nth past count" (Invalid_argument "Rankset.nth: rank out of range")
+          (fun () -> ignore (Rankset.nth v 6));
+        match Rankset.add s 200 with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.fail "add out of range must raise");
+    Alcotest.test_case "empty universe" `Quick (fun () ->
+        let v = Rankset.view (Rankset.create 0) in
+        Alcotest.(check int) "count" 0 (Rankset.count v);
+        Alcotest.(check (list int)) "members" [] (Rankset.to_list v)) ]
+
 let bitbuf_tests =
   [ qtest
       (QCheck.Test.make ~name:"nat roundtrip (list)" ~count:300
@@ -366,6 +427,7 @@ let cset_tests =
 let suites =
   [ ("support.prng", prng_tests);
     ("support.bitset", bitset_tests);
+    ("support.rankset", rankset_tests);
     ("support.bitbuf", bitbuf_tests);
     ("support.dynarray", dynarray_tests);
     ("support.heap", heap_tests);
