@@ -124,14 +124,15 @@ let protocols_cmd =
           promise
           (if e.randomized then "  [randomized]" else "");
         if costs then begin
-          let c = e.certificate in
-          Printf.printf "    envelope: %s  (n=16: %d bits, n=256: %d bits)\n" c.Obs.Cost.form
-            (c.Obs.Cost.envelope ~n:16) (c.Obs.Cost.envelope ~n:256);
-          match (c.Obs.Cost.floor, c.Obs.Cost.floor_class) with
-          | Some f, Some cls ->
-            Printf.printf "    floor:    %s  (n=16: %d bits, n=256: %d bits)\n" cls (f ~n:16)
-              (f ~n:256)
-          | _ -> ()
+          let c = Wb_bench.Cost.certificate e.key in
+          Printf.printf "    envelope: %s  (n=16: %d bits, n=256: %d bits)\n" c.form
+            (c.envelope ~n:16) (c.envelope ~n:256);
+          match c.floor with
+          | Some cls ->
+            let floor n = Wb_reductions.Counting.min_message_bits cls n in
+            Printf.printf "    floor:    %s  (n=16: %d bits, n=256: %d bits)\n"
+              cls.Wb_reductions.Counting.name (floor 16) (floor 256)
+          | None -> ()
         end)
       (Wb_protocols.Registry.all ())
   in
@@ -184,16 +185,6 @@ let profile_arg =
            enabled by WB_PROF=1)")
 
 let apply_profile profile = if profile then Obs.Prof.enable ()
-
-let cost_arg =
-  Arg.(
-    value & flag
-    & info [ "cost" ]
-        ~doc:
-          "Enable the Wb_cost per-round bit ledger (cost.* series in the metrics registry and \
-           cost_round trace events; also enabled by WB_COST=1)")
-
-let apply_cost cost = if cost then Obs.Cost.enable ()
 
 let open_out_or_die file =
   try open_out file
@@ -360,9 +351,8 @@ let with_entry key f =
   | Some e -> f e
 
 let run_cmd =
-  let run key family n p seed adv trace metrics_json metrics_om profile cost =
+  let run key family n p seed adv trace metrics_json metrics_om profile =
     apply_profile profile;
-    apply_cost cost;
     with_entry key (fun e ->
         let g = make_graph ~family ~n ~p ~seed in
         Printf.printf "graph: %s on %d nodes, %d edges (seed %d)\n" family (G.Graph.n g)
@@ -388,7 +378,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a protocol on a generated graph")
     Term.(
       const run $ key_arg $ family_arg $ n_arg $ p_arg $ seed_arg $ adversary_arg $ trace_arg
-      $ metrics_json_arg $ metrics_om_arg $ profile_arg $ cost_arg)
+      $ metrics_json_arg $ metrics_om_arg $ profile_arg)
 
 (* Span endpoints carry wall-clock timestamps, but the JSONL artifacts
    promise byte-determinism at a fixed seed — so they keep the classic
@@ -560,9 +550,8 @@ let explore_cmd =
   in
   let explore_ring_capacity = 65536 in
   let run key family n p seed metrics_json sample sample_out jobs trace_out no_dedup quiet stats
-      profile cost =
+      profile =
     apply_profile profile;
-    apply_cost cost;
     with_entry key (fun e ->
         let g = make_graph ~family ~n ~p ~seed in
         let problem = e.problem (G.Graph.n g) in
@@ -682,7 +671,7 @@ let explore_cmd =
     Term.(
       const run $ key_arg $ family_arg $ n_arg $ p_arg $ seed_arg $ metrics_json_arg $ sample_arg
       $ sample_out_arg $ jobs_arg $ trace_out_arg $ no_dedup_arg $ quiet_arg $ stats_arg
-      $ profile_arg $ cost_arg)
+      $ profile_arg)
 
 (* ---- networked whiteboard (wb_net) ----------------------------------- *)
 
@@ -710,9 +699,8 @@ let serve_cmd =
       & opt (some int) None
       & info [ "max-sessions" ] ~docv:"K" ~doc:"Exit after $(docv) completed sessions")
   in
-  let run key family n p seed adv port timeout max_sessions max_rounds profile cost =
+  let run key family n p seed adv port timeout max_sessions max_rounds profile =
     apply_profile profile;
-    apply_cost cost;
     with_entry key (fun e ->
         let g = make_graph ~family ~n ~p ~seed in
         let spec =
@@ -738,7 +726,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc:"Host a networked referee: the board lives here, nodes join remotely")
     Term.(
       const run $ key_arg $ family_arg $ n_arg $ p_arg $ seed_arg $ adversary_arg $ port_arg
-      $ timeout_arg $ max_sessions_arg $ max_rounds_arg $ profile_arg $ cost_arg)
+      $ timeout_arg $ max_sessions_arg $ max_rounds_arg $ profile_arg)
 
 let join_cmd =
   let host_arg =

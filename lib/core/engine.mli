@@ -25,8 +25,9 @@
     {!Wb_obs.Event} stream (round starts, activations, every composition,
     adversary picks, writes, deadlock, run end); with it omitted no event
     is ever constructed.  A handful of process-global {!Wb_obs.Metrics} are
-    always maintained ([engine.*]: runs, rounds, writes, recompositions,
-    candidate-set sizes, board bits, deadlocks, explore executions). *)
+    always maintained ([engine.*]: runs, rounds, writes, bits per message,
+    recompositions, candidate-set sizes, board bits, deadlocks, explore
+    executions). *)
 
 type outcome = Machine.outcome =
   | Success of Answer.t

@@ -67,6 +67,10 @@ let m_candidates =
   Obs.Metrics.histogram ~help:"write-candidate set size per round" "engine.candidates_per_round"
 
 let m_board_bits = Obs.Metrics.gauge ~help:"board total bits after last write" "engine.board_bits"
+
+let m_message_bits =
+  Obs.Metrics.histogram ~help:"bits per message appended to a board" "engine.message_bits"
+
 let m_deadlocks = Obs.Metrics.counter ~help:"executions ending in deadlock" "engine.deadlocks"
 
 (* Profiling sites for the kernel hot paths; zero-cost unless Wb_obs.Prof
@@ -100,7 +104,6 @@ module Make (N : NODE) = struct
     max_rounds : int;
     views : View.t array;
     board : Board.t;
-    cost : Obs.Cost.ledger option;  (* None unless Wb_obs.Cost is enabled *)
     trace : Obs.Trace.t option;
     minter : Obs.Span.minter;
     root_ctx : Obs.Span.context option;  (* parent for per-round spans *)
@@ -159,7 +162,6 @@ module Make (N : NODE) = struct
       max_rounds = (match max_rounds with Some r -> r | None -> default_max_rounds size);
       views;
       board = Board.create size;
-      cost = Obs.Cost.create ();
       trace;
       minter;
       root_ctx = Option.map Obs.Span.context span_root;
@@ -268,20 +270,6 @@ module Make (N : NODE) = struct
         Obs.Trace.emit tr (Obs.Event.Compose { node = v; round = t.round; bits = Message.size_bits m }));
     span_finish t sp
 
-  (* Close the ledger's open round and publish its summary while the round
-     number is still current — called at both places a round can end (the
-     next round's prefix, and [finish]) so the event keeps the stream's
-     round monotonicity.  Rounds with no writes stay silent. *)
-  let flush_cost t =
-    match t.cost with
-    | None -> ()
-    | Some l -> (
-      match (Obs.Cost.flush_round l, t.trace) with
-      | Some { Obs.Cost.round; writes; bits }, Some tr ->
-        Obs.Trace.emit tr
-          (Obs.Event.Cost_round { round; writes; bits; board_bits = Board.total_bits t.board })
-      | _ -> ())
-
   (* Visited for every member of [awake] at the start of the loop; a hook
      may kill a node meanwhile, including the one it answers for (a faulted
      query), and a dead node never activates, however it answered. *)
@@ -312,7 +300,6 @@ module Make (N : NODE) = struct
      whether anyone activated. *)
   let round_prefix t =
     Obs.Prof.phase prof_round (fun () ->
-    flush_cost t;
     (* Close the previous round's span while its round number is still
        current, so span events keep the stream's round monotonicity. *)
     span_finish t t.span_round;
@@ -343,20 +330,16 @@ module Make (N : NODE) = struct
       t.last_writer <- v;
       stamp t (Mix.combine 0x42 t.mem_h.(v));
       t.write_round.(v) <- t.round;
+      let bits = Message.size_bits m and board_bits = Board.total_bits t.board in
       Obs.Metrics.incr m_writes;
-      let board_bits = Board.total_bits t.board in
       Obs.Metrics.set m_board_bits board_bits;
-      (match t.cost with
-      | None -> ()
-      | Some l -> Obs.Cost.record l ~round:t.round ~bits:(Message.size_bits m) ~board_bits);
+      Obs.Metrics.observe m_message_bits bits;
       match t.trace with
       | None -> ()
       | Some tr ->
-        Obs.Trace.emit tr
-          (Obs.Event.Write { node = v; round = t.round; bits = Message.size_bits m; board_bits })
+        Obs.Trace.emit tr (Obs.Event.Write { node = v; round = t.round; bits; board_bits })
 
   let finish t outcome =
-    flush_cost t;
     let message_bits = Array.make t.size (-1) in
     Board.iter (fun m -> message_bits.(Message.author m) <- Message.size_bits m) t.board;
     Obs.Metrics.add m_rounds t.round;
@@ -510,9 +493,6 @@ module Make (N : NODE) = struct
     t.z0 <- s.s_z0;
     t.z1 <- s.s_z1;
     t.mem_h <- Array.copy s.s_mem_h;
-    (* A rewound round must not be observed as a round summary; the ledger's
-       cumulative process totals keep counting replays by design. *)
-    (match t.cost with None -> () | Some l -> Obs.Cost.discard_round l);
     (* A restore rewinds logical time, so stopping the open round span here
        would emit a stop at an earlier round than its start; drop it
        unstopped instead (the exporters tolerate unclosed spans). *)

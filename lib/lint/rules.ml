@@ -87,8 +87,7 @@ let determinism_exempt p =
    model or protocol code — a phased [compose] would differ per host. *)
 let prof_exempt p = determinism_exempt p || has_infix [ "lib"; "core" ] (components p)
 
-let lock_exempt p =
-  has_suffix [ "lib"; "support"; "sync.ml" ] p || has_suffix [ "lib"; "net"; "sync.ml" ] p
+let lock_exempt p = has_suffix [ "lib"; "support"; "sync.ml" ] p
 
 let is_decode_file p =
   has_suffix [ "lib"; "net"; "wire.ml" ] p || has_suffix [ "lib"; "protocols"; "codec.ml" ] p

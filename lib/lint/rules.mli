@@ -58,9 +58,8 @@ val prof_exempt : string -> bool
     smuggled into model code and is flagged under {!determinism}. *)
 
 val lock_exempt : string -> bool
-(** Only the [with_lock] combinator's own definition —
-    [lib/support/sync.ml] and its historical re-export in
-    [lib/net/sync.ml] — may touch [Mutex.lock]/[Mutex.unlock] directly. *)
+(** Only the [with_lock] combinator's own definition,
+    [lib/support/sync.ml], may touch [Mutex.lock]/[Mutex.unlock] directly. *)
 
 val is_decode_file : string -> bool
 (** The two decode surfaces with a typed-error contract:

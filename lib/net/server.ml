@@ -44,7 +44,8 @@ let create ?(addr = "127.0.0.1") ~port spec =
   let ring_lock = Mutex.create () in
   let raw_ring = Obs.Trace.Ring.sink ring in
   let locked_ring =
-    Obs.Trace.of_fn (fun ev -> Sync.with_lock ring_lock (fun () -> Obs.Trace.emit raw_ring ev))
+    Obs.Trace.of_fn (fun ev ->
+        Wb_support.Sync.with_lock ring_lock (fun () -> Obs.Trace.emit raw_ring ev))
   in
   let session_sink =
     match spec.trace with None -> locked_ring | Some tr -> Obs.Trace.tee [ locked_ring; tr ]
@@ -71,12 +72,12 @@ let port t = t.port_no
    enough; [serve]'s poll loop notices it within one tick and closes the
    descriptor itself, the only place that ever does. *)
 let stop t =
-  Sync.with_lock t.lock (fun () ->
+  Wb_support.Sync.with_lock t.lock (fun () ->
       t.stopped <- true;
       Condition.broadcast t.cond)
 
 let take_result t name =
-  Sync.with_lock t.lock (fun () ->
+  Wb_support.Sync.with_lock t.lock (fun () ->
       let rec wait () =
         match List.assoc_opt name t.results with
         | Some r ->
@@ -100,7 +101,7 @@ let reject conn code detail =
    array — the claimer then referees the session on its own thread. *)
 let claim t ~session ~node_pref conn =
   let n = G.n t.spec.graph in
-  Sync.with_lock t.lock (fun () ->
+  Wb_support.Sync.with_lock t.lock (fun () ->
     match List.assoc_opt session t.results with
     | Some _ -> Result.Error (Wire.Session_busy, "session already completed")
     | None -> (
@@ -133,7 +134,7 @@ let claim t ~session ~node_pref conn =
 
 let record_result t ~max_sessions session result =
   let enough =
-    Sync.with_lock t.lock (fun () ->
+    Wb_support.Sync.with_lock t.lock (fun () ->
         t.results <- (session, result) :: t.results;
         t.completed <- t.completed + 1;
         Condition.broadcast t.cond;
@@ -147,7 +148,7 @@ let record_result t ~max_sessions session result =
 let telemetry_reply t tail =
   let metrics = Obs.Json.to_string (Obs.Metrics.dump_json ()) in
   let events, ring_dropped =
-    Sync.with_lock t.ring_lock (fun () ->
+    Wb_support.Sync.with_lock t.ring_lock (fun () ->
         (Obs.Trace.Ring.to_list t.ring, Obs.Trace.Ring.dropped t.ring))
   in
   let total = List.length events in
@@ -230,7 +231,7 @@ let handshake t ~max_sessions conn =
     Obs.Prof.phase prof_dispatch (fun () -> dispatch t ~max_sessions conn frame ctx)
 
 let serve ?max_sessions t =
-  let stopped () = Sync.with_lock t.lock (fun () -> t.stopped) in
+  let stopped () = Wb_support.Sync.with_lock t.lock (fun () -> t.stopped) in
   let rec loop () =
     if not (stopped ()) then begin
       match Unix.select [ t.fd ] [] [] 0.05 with
@@ -257,7 +258,7 @@ let serve ?max_sessions t =
   loop ();
   (try Unix.close t.fd with Unix.Unix_error _ -> ());
   (* Wake any take_result waiting on a session that will never finish. *)
-  Sync.with_lock t.lock (fun () ->
+  Wb_support.Sync.with_lock t.lock (fun () ->
       t.stopped <- true;
       Condition.broadcast t.cond)
 

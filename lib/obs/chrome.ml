@@ -89,12 +89,6 @@ let convert events =
           Some
             (instant ~name:"write" ~round ~tid:(node + 1)
                [ ("bits", Json.Int bits); ("board_bits", Json.Int board_bits) ])
-        | Event.Cost_round { round; writes; bits; board_bits } ->
-          Some
-            (instant ~name:"round cost" ~round ~tid:0
-               [ ("writes", Json.Int writes);
-                 ("bits", Json.Int bits);
-                 ("board_bits", Json.Int board_bits) ])
         | Event.Deadlock_detected { round } -> Some (instant ~name:"DEADLOCK" ~round ~tid:0 [])
         | Event.Run_end { round; outcome } ->
           Some (instant ~name:"run end" ~round ~tid:0 [ ("outcome", Json.String outcome) ])
@@ -172,15 +166,6 @@ let merge shards =
             Some
               (common ~pid ~name:"write" ~ph:"i" ~ts:!cursor ~tid:(node + 1)
                  [ ("s", Json.String "t"); ("args", Json.Obj [ ("bits", Json.Int bits) ]) ])
-          | Event.Cost_round { writes; bits; board_bits; _ } ->
-            Some
-              (common ~pid ~name:"round cost" ~ph:"i" ~ts:!cursor ~tid:0
-                 [ ("s", Json.String "t");
-                   ("args",
-                    Json.Obj
-                      [ ("writes", Json.Int writes);
-                        ("bits", Json.Int bits);
-                        ("board_bits", Json.Int board_bits) ]) ])
           | Event.Deadlock_detected _ ->
             Some (common ~pid ~name:"DEADLOCK" ~ph:"i" ~ts:!cursor ~tid:0 [ ("s", Json.String "t") ])
           | Event.Run_end { outcome; _ } ->

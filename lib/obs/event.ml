@@ -4,7 +4,6 @@ type t =
   | Compose of { node : int; round : int; bits : int }
   | Adversary_pick of { node : int; round : int; candidates : int list }
   | Write of { node : int; round : int; bits : int; board_bits : int }
-  | Cost_round of { round : int; writes : int; bits : int; board_bits : int }
   | Deadlock_detected of { round : int }
   | Run_end of { round : int; outcome : string }
   | Span_start of {
@@ -24,7 +23,6 @@ let round = function
   | Compose { round; _ }
   | Adversary_pick { round; _ }
   | Write { round; _ }
-  | Cost_round { round; _ }
   | Deadlock_detected { round }
   | Run_end { round; _ }
   | Span_start { round; _ }
@@ -51,13 +49,6 @@ let to_json = function
       [ ("ev", Json.String "write");
         ("node", Json.Int node);
         ("round", Json.Int round);
-        ("bits", Json.Int bits);
-        ("board_bits", Json.Int board_bits) ]
-  | Cost_round { round; writes; bits; board_bits } ->
-    Json.Obj
-      [ ("ev", Json.String "cost_round");
-        ("round", Json.Int round);
-        ("writes", Json.Int writes);
         ("bits", Json.Int bits);
         ("board_bits", Json.Int board_bits) ]
   | Deadlock_detected { round } ->
@@ -130,12 +121,6 @@ let of_json j =
     let* bits = int "bits" in
     let* board_bits = int "board_bits" in
     Ok (Write { node; round; bits; board_bits })
-  | "cost_round" ->
-    let* round = int "round" in
-    let* writes = int "writes" in
-    let* bits = int "bits" in
-    let* board_bits = int "board_bits" in
-    Ok (Cost_round { round; writes; bits; board_bits })
   | "deadlock" ->
     let* round = int "round" in
     Ok (Deadlock_detected { round })
@@ -187,8 +172,6 @@ let pp ppf e =
       (String.concat "," (List.map (fun v -> string_of_int (v + 1)) candidates))
   | Write { node; round; bits; board_bits } ->
     Format.fprintf ppf "r%d: write %d (%d bits, board %d)" round (node + 1) bits board_bits
-  | Cost_round { round; writes; bits; board_bits } ->
-    Format.fprintf ppf "r%d: cost %d writes, %d bits (board %d)" round writes bits board_bits
   | Deadlock_detected { round } -> Format.fprintf ppf "r%d: deadlock" round
   | Run_end { round; outcome } -> Format.fprintf ppf "r%d: run end (%s)" round outcome
   | Span_start { span; parent; name; round; _ } ->

@@ -20,11 +20,6 @@ type t =
       (** The scheduler chose [node] among [candidates] (0-based, sorted). *)
   | Write of { node : int; round : int; bits : int; board_bits : int }
       (** [board_bits] is the board total {e after} this append. *)
-  | Cost_round of { round : int; writes : int; bits : int; board_bits : int }
-      (** The {!Cost} ledger's per-round summary — emitted only when the
-          ledger is enabled, for rounds in which at least one write landed:
-          [bits] appended by [writes] messages, [board_bits] the board total
-          after the round. *)
   | Deadlock_detected of { round : int }
   | Run_end of { round : int; outcome : string }
       (** [outcome] is one of ["success"], ["deadlock"], ["size_violation"],
@@ -50,7 +45,7 @@ val round : t -> int
 val to_json : t -> Json.t
 (** Stable wire shape: an object whose ["ev"] member tags the constructor
     (["round_start"], ["activate"], ["compose"], ["adversary_pick"],
-    ["write"], ["cost_round"], ["deadlock"], ["run_end"], ["span_start"],
+    ["write"], ["deadlock"], ["run_end"], ["span_start"],
     ["span_stop"]). *)
 
 val of_json : Json.t -> (t, string) result

@@ -1,6 +1,4 @@
 module P = Wb_model
-module Nat = Wb_bignum.Nat
-module Cost = Wb_obs.Cost
 
 type promise =
   | Any_graph
@@ -17,170 +15,57 @@ type entry = {
   problem : int -> P.Problems.t;
   promise : promise;
   randomized : bool;
-  certificate : Cost.certificate;
 }
 
-(* Lemma 3 floors.  [Wb_reductions.Counting] owns the class counts, but
-   wb_reductions depends on this library, so the arithmetic is duplicated
-   here (test_cost cross-checks the two).  A floor is declared only where
-   the counting argument applies: BUILD-style problems whose answer
-   determines the input within the promise class.  min bits per message =
-   ceil(class_bits / n) since every node writes exactly once. *)
-let ceil_div a b = (a + b - 1) / b
-
-(* Cayley: n^(n-2) labelled trees.  Trees are k-degenerate for every k >= 1
-   and split-k-degenerate for every k >= 1 (peel leaves), so this floor is
-   sound for all the degenerate BUILD variants. *)
-let tree_floor ~n =
-  if n <= 2 then 0
-  else ceil_div (Nat.bit_length (Nat.sub (Nat.pow_int n (n - 2)) Nat.one)) n
-
-(* 2^(n(n-1)/2) graphs on n labelled nodes. *)
-let all_graphs_floor ~n = if n = 0 then 0 else ceil_div (n * (n - 1) / 2) n
-
-(* Graphs whose edges live among the first j = min(n, f(n)) identifiers:
-   2^(j(j-1)/2) of them, all distinguishable by SUBGRAPH_f's answer. *)
-let tail_floor ~f ~n =
-  if n = 0 then 0
-  else
-    let j = max 0 (min n (f n)) in
-    ceil_div (j * (j - 1) / 2) n
-
-(* Envelopes.  Each is the paper bound restated independently of the
-   protocol's [message_bound] — same arithmetic, second source — so a
-   refactor that inflates an encoder breaks the certificate even if it
-   also bumps the protocol's own cap. *)
-let no_floor ~form envelope = { Cost.form; envelope; floor = None; floor_class = None }
-
-let with_tree_floor ~form envelope =
-  { Cost.form; envelope; floor = Some tree_floor; floor_class = Some "labelled trees" }
-
-let cert_build_forest =
-  with_tree_floor ~form:"id(n) + int(n) + int(n(n+1)/2) = O(log n)" (fun ~n ->
-      Codec.id_bits n + Codec.int_bits n + Codec.int_bits (n * (n + 1) / 2))
-
-(* id + degree + power sums p = 1..k, each sum <= n * n^p = n^(p+1). *)
-let cert_build_degenerate ~k =
-  with_tree_floor
-    ~form:(Printf.sprintf "id(n) + int(n) + sum_{p=1}^{%d} big(n^(p+1)) = O(k^2 log n)" k)
-    (fun ~n ->
-      let sums = ref 0 in
-      for p = 1 to k do
-        sums := !sums + Codec.big_bits (Nat.pow_int (max n 1) (p + 1))
-      done;
-      Codec.id_bits n + Codec.int_bits n + !sums)
-
-(* Decision problems reached through the Section 3 builder write the same
-   payloads as build-k-degenerate but answer one bit, so no counting floor. *)
-let cert_via_build ~k =
-  let c = cert_build_degenerate ~k in
-  { c with Cost.floor = None; floor_class = None }
-
-(* Neighbour and non-neighbour power sums, two per exponent. *)
-let cert_build_split ~k =
-  with_tree_floor
-    ~form:(Printf.sprintf "id(n) + int(n) + 2 sum_{p=1}^{%d} big(n^(p+1))" k)
-    (fun ~n ->
-      let sums = ref 0 in
-      for p = 1 to k do
-        sums := !sums + (2 * Codec.big_bits (Nat.pow_int (max n 1) (p + 1)))
-      done;
-      Codec.id_bits n + Codec.int_bits n + !sums)
-
-let cert_build_naive =
-  { Cost.form = "id(n) + n adjacency-row bits";
-    envelope = (fun ~n -> Codec.id_bits n + n);
-    floor = Some all_graphs_floor;
-    floor_class = Some "all graphs" }
-
-let cert_mis = no_floor ~form:"id(n) + 1 joining bit" (fun ~n -> Codec.id_bits n + 1)
-
-let cert_two_cliques =
-  no_floor ~form:"id(n) + int(2) side tag" (fun ~n -> Codec.id_bits n + Codec.int_bits 2)
-
-let cert_two_cliques_randomized ~bits =
-  no_floor
-    ~form:(Printf.sprintf "id(n) + %d fingerprint bits" bits)
-    (fun ~n -> Codec.id_bits n + bits)
-
-(* The BFS family writes one tagged record of int(n)-width fields: 4 of
-   them, plus d0 for the variants that carry the root distance. *)
-let cert_bfs ~with_d0 =
-  let fields = if with_d0 then 5 else 4 in
-  no_floor
-    ~form:(Printf.sprintf "1 + id(n) + %d int(n) fields = O(log n)" fields)
-    (fun ~n -> 1 + Codec.id_bits n + (fields * Codec.int_bits n))
-
-let cert_subgraph ~cutoff =
-  { Cost.form = "id(n) + min(n, floor(sqrt n)) row bits";
-    envelope = (fun ~n -> Codec.id_bits n + max 0 (min n (cutoff n)));
-    floor = Some (tail_floor ~f:cutoff);
-    floor_class = Some "edges only among first f(n) nodes" }
-
-(* copies(n) * levels(n) cells of three zig-zag ints, each coded <= 80
-   bits; copies = 2w+4, levels = 2w+2 with w = width(max 2 n). *)
-let cert_sketch =
-  no_floor ~form:"id(n) + (2w+4)(2w+2)*240 bits, w = width(n) — O(log^2 n) words" (fun ~n ->
-      let w = Wb_support.Bitbuf.width_of (max 2 n) in
-      Codec.id_bits n + (((2 * w) + 4) * ((2 * w) + 2) * 3 * 80))
-
-let plain key protocol problem promise certificate =
-  { key; protocol; problem = (fun _ -> problem); promise; randomized = false; certificate }
+let plain key protocol problem promise =
+  { key; protocol; problem = (fun _ -> problem); promise; randomized = false }
 
 let all () =
-  [ plain "build-forest" Build_forest.protocol P.Problems.Build Forest cert_build_forest;
+  [ plain "build-forest" Build_forest.protocol P.Problems.Build Forest;
     plain "build-2-degenerate" (Build_degenerate.protocol ~k:2 ~decoder:`Backtracking) P.Problems.Build
-      (Degeneracy_at_most 2) (cert_build_degenerate ~k:2);
+      (Degeneracy_at_most 2);
     plain "build-3-degenerate" (Build_degenerate.protocol ~k:3 ~decoder:`Backtracking) P.Problems.Build
-      (Degeneracy_at_most 3) (cert_build_degenerate ~k:3);
+      (Degeneracy_at_most 3);
     plain "build-5-degenerate" (Build_degenerate.protocol ~k:5 ~decoder:`Backtracking) P.Problems.Build
-      (Degeneracy_at_most 5) (cert_build_degenerate ~k:5);
-    plain "build-naive" Build_naive.protocol P.Problems.Build Any_graph cert_build_naive;
-    plain "mis" (Mis_simsync.protocol ~root:0) (P.Problems.Rooted_mis 0) Any_graph cert_mis;
-    plain "two-cliques" Two_cliques_simsync.protocol P.Problems.Two_cliques Regular_two_half
-      cert_two_cliques;
+      (Degeneracy_at_most 5);
+    plain "build-naive" Build_naive.protocol P.Problems.Build Any_graph;
+    plain "mis" (Mis_simsync.protocol ~root:0) (P.Problems.Rooted_mis 0) Any_graph;
+    plain "two-cliques" Two_cliques_simsync.protocol P.Problems.Two_cliques Regular_two_half;
     { key = "two-cliques-randomized";
       protocol = Two_cliques_randomized.protocol ~seed:42 ~bits:24;
       problem = (fun _ -> P.Problems.Two_cliques);
       promise = Regular_two_half;
-      randomized = true;
-      certificate = cert_two_cliques_randomized ~bits:24 };
-    plain "eob-bfs" Eob_bfs_async.protocol P.Problems.Eob_bfs Any_graph (cert_bfs ~with_d0:false);
-    plain "bfs-bipartite" Bfs_bipartite_async.protocol P.Problems.Bfs Bipartite
-      (cert_bfs ~with_d0:false);
-    plain "bfs" Bfs_sync.protocol P.Problems.Bfs Any_graph (cert_bfs ~with_d0:true);
-    plain "connectivity" Connectivity_sync.protocol P.Problems.Connectivity Any_graph
-      (cert_bfs ~with_d0:true);
+      randomized = true };
+    plain "eob-bfs" Eob_bfs_async.protocol P.Problems.Eob_bfs Any_graph;
+    plain "bfs-bipartite" Bfs_bipartite_async.protocol P.Problems.Bfs Bipartite;
+    plain "bfs" Bfs_sync.protocol P.Problems.Bfs Any_graph;
+    plain "connectivity" Connectivity_sync.protocol P.Problems.Connectivity Any_graph;
     (let cutoff n = int_of_float (sqrt (float_of_int n)) in
      { key = "subgraph-sqrt";
        protocol = Subgraph_simasync.protocol ~cutoff;
        problem = (fun n -> P.Problems.Subgraph (cutoff n));
        promise = Any_graph;
-       randomized = false;
-       certificate = cert_subgraph ~cutoff });
+       randomized = false });
     plain "triangle-3-degenerate" (Triangle_degenerate.protocol ~k:3) P.Problems.Triangle
-      (Degeneracy_at_most 3) (cert_via_build ~k:3);
+      (Degeneracy_at_most 3);
     plain "square-3-degenerate" (Via_build.protocol ~k:3 P.Problems.Square) P.Problems.Square
-      (Degeneracy_at_most 3) (cert_via_build ~k:3);
+      (Degeneracy_at_most 3);
     plain "diameter3-3-degenerate"
       (Via_build.protocol ~k:3 (P.Problems.Diameter_at_most 3))
-      (P.Problems.Diameter_at_most 3) (Degeneracy_at_most 3) (cert_via_build ~k:3);
+      (P.Problems.Diameter_at_most 3) (Degeneracy_at_most 3);
     plain "build-split-2-degenerate" (Build_split_degenerate.protocol ~k:2) P.Problems.Build
-      (Split_degeneracy_at_most 2) (cert_build_split ~k:2);
-    plain "spanning-forest" Spanning_forest_sync.protocol P.Problems.Spanning_forest Any_graph
-      (cert_bfs ~with_d0:true);
+      (Split_degeneracy_at_most 2);
+    plain "spanning-forest" Spanning_forest_sync.protocol P.Problems.Spanning_forest Any_graph;
     { key = "connectivity-sketch";
       protocol = Sketch_connectivity.connectivity ~seed:271828;
       problem = (fun _ -> P.Problems.Connectivity);
       promise = Any_graph;
-      randomized = true;
-      certificate = cert_sketch };
+      randomized = true };
     { key = "spanning-forest-sketch";
       protocol = Sketch_connectivity.spanning_forest ~seed:271828;
       problem = (fun _ -> P.Problems.Spanning_forest);
       promise = Any_graph;
-      randomized = true;
-      certificate = cert_sketch } ]
+      randomized = true } ]
 
 let find key = List.find_opt (fun e -> e.key = key) (all ())
 

@@ -12,18 +12,14 @@ type promise =
   | Regular_two_half  (** the 2-CLIQUES promise: (n/2 - 1)-regular, n even. *)
 
 type entry = {
-  key : string;  (** stable CLI name. *)
+  key : string;
+      (** stable CLI name; [Wb_bench.Cost.certificate] looks the entry's
+          cost certificate up by it. *)
   protocol : Wb_model.Protocol.t;
   problem : int -> Wb_model.Problems.t;
       (** instance for an n-node system (SUBGRAPH_f depends on n). *)
   promise : promise;
   randomized : bool;
-  certificate : Wb_obs.Cost.certificate;
-      (** The protocol's paper bound as an executable envelope, plus the
-          Lemma 3 information floor where the counting argument applies
-          (BUILD-style problems).  The envelope restates the bound
-          independently of the protocol's [message_bound], so the two can
-          drift apart only by breaking the [@check-cost] sweep. *)
 }
 
 val all : unit -> entry list

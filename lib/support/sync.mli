@@ -4,8 +4,7 @@
     exit path, including exceptions ([Fun.protect]).  All shared-state
     access in the tree goes through this combinator — the [lock-discipline]
     lint rule bans raw [Mutex.lock]/[Mutex.unlock] everywhere except this
-    module's implementation (and its historical re-export in
-    [lib/net/sync.ml]).
+    module's implementation.
 
     It lives in the support layer so that both [wb_obs] (the domain-safe
     metrics registry) and [wb_net] (the referee's session tables) can use

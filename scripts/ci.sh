@@ -29,11 +29,9 @@ dune build @lint @check-lint --force
 # OpenMetrics exposition grammatically valid).
 dune build @check-prof --force
 
-# The communication-cost observatory: the full-registry certificate
-# sweep at n in {16, 64, 256, 1024} (measured <= envelope, >= Lemma 3
-# floor where declared), the same-seed byte-determinism of the cost
-# table, and the on-disk proof that a never-enabled run registers no
-# cost.* series while --cost/WB_COST=1 both do.
+# The cost certificates: the full-registry sweep at n in {16, 64, 256,
+# 1024} (measured <= envelope, >= Lemma 3 floor where declared) and the
+# same-seed byte-determinism of the cost table.
 dune build @check-cost --force
 
 # The chaos referee: deterministic fault-injection campaigns — a pinned

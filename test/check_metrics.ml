@@ -1,15 +1,14 @@
-(* Standalone validator for the opt-in instrumentation artifacts of the
-   [check-prof] and [check-cost] aliases:
+(* Standalone validator for the opt-in profiling artifacts of the
+   [check-prof] alias:
 
-     check_metrics.exe (--expect-FAM | --forbid-FAM) FILE...
+     check_metrics.exe (--expect-prof | --forbid-prof) FILE...
 
-   where FAM is "prof" or "cost".  Every *.om.txt FILE must be a
-   grammatically valid OpenMetrics exposition (checked with the same
-   Openmetrics.validate the unit tests pin down); every *.json FILE must
-   be a metrics-registry snapshot.  In either form, FAM.* series must be
-   present under --expect and absent under --forbid — the on-disk proof
-   that the instrumentation is opt-in and that a never-enabled process
-   registers nothing. *)
+   Every *.om.txt FILE must be a grammatically valid OpenMetrics
+   exposition (checked with the same Openmetrics.validate the unit tests
+   pin down); every *.json FILE must be a metrics-registry snapshot.  In
+   either form, prof.* series must be present under --expect and absent
+   under --forbid — the on-disk proof that profiling is opt-in and that a
+   never-enabled process registers nothing. *)
 
 module J = Wb_obs.Json
 module M = Wb_obs.Metrics
@@ -25,10 +24,9 @@ let read_file path =
 let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
 
-(* family series in a registry snapshot: any counter, gauge or histogram
-   named under "FAM." — prof only registers histograms, cost registers all
-   three kinds. *)
-let family_in_json ~family path body =
+(* prof series in a registry snapshot: any counter, gauge or histogram
+   named under "prof.". *)
+let prof_in_json path body =
   let v =
     match J.of_string body with
     | Ok v -> v
@@ -38,7 +36,7 @@ let family_in_json ~family path body =
   | Some (J.Obj _) -> ()
   | Some _ -> fail "%s: histograms is not an object" path
   | None -> fail "%s: not a metrics snapshot (no histograms member)" path);
-  let prefix = family ^ "." in
+  let prefix = "prof." in
   List.exists
     (fun section ->
       match J.member section v with
@@ -46,36 +44,30 @@ let family_in_json ~family path body =
       | _ -> false)
     [ "counters"; "gauges"; "histograms" ]
 
-(* family series in an exposition: TYPE lines declaring a FAM_ family. *)
-let family_in_om ~family path body =
+(* prof series in an exposition: TYPE lines declaring a prof_ family. *)
+let prof_in_om path body =
   (match M.Openmetrics.validate body with
   | Ok () -> ()
   | Error msg -> fail "%s: invalid OpenMetrics exposition: %s" path msg);
-  let prefix = "# TYPE " ^ family ^ "_" in
+  let prefix = "# TYPE prof_" in
   List.exists (fun line -> starts_with ~prefix line) (String.split_on_char '\n' body)
 
 let () =
-  let expect, family, files =
+  let expect, files =
     match List.tl (Array.to_list Sys.argv) with
-    | "--expect-prof" :: files when files <> [] -> (true, "prof", files)
-    | "--forbid-prof" :: files when files <> [] -> (false, "prof", files)
-    | "--expect-cost" :: files when files <> [] -> (true, "cost", files)
-    | "--forbid-cost" :: files when files <> [] -> (false, "cost", files)
-    | _ ->
-      fail "usage: check_metrics (--expect-prof | --forbid-prof | --expect-cost | --forbid-cost) \
-            FILE..."
+    | "--expect-prof" :: files when files <> [] -> (true, files)
+    | "--forbid-prof" :: files when files <> [] -> (false, files)
+    | _ -> fail "usage: check_metrics (--expect-prof | --forbid-prof) FILE..."
   in
   List.iter
     (fun path ->
       let body = read_file path in
       let has =
-        if Filename.check_suffix path ".json" then family_in_json ~family path body
-        else family_in_om ~family path body
+        if Filename.check_suffix path ".json" then prof_in_json path body else prof_in_om path body
       in
       (match (expect, has) with
-      | true, false -> fail "%s: expected %s.* series, found none" path family
-      | false, true -> fail "%s: found %s.* series in a run that never enabled them" path family
+      | true, false -> fail "%s: expected prof.* series, found none" path
+      | false, true -> fail "%s: found prof.* series in a run that never enabled them" path
       | _ -> ());
-      Printf.printf "ok %-32s %s series %s\n" path family
-        (if has then "present" else "absent"))
+      Printf.printf "ok %-32s prof series %s\n" path (if has then "present" else "absent"))
     files

@@ -6,4 +6,4 @@ let raw_section () =
   Mutex.unlock m
 
 let blocking_inside fd buf =
-  Wb_net.Sync.with_lock m (fun () -> Unix.read fd buf 0 1)
+  Wb_support.Sync.with_lock m (fun () -> Unix.read fd buf 0 1)

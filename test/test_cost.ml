@@ -1,65 +1,32 @@
-(* Wb_obs.Cost: the per-round bit ledger the kernel feeds, the theorem
-   certificates the registry declares, and the cross-checks tying the
-   accounting layers together — trace events, cost.* counters, engine
-   stats and the networked session must all report the same bit totals.
+(* Communication cost: the theorem certificates of Wb_bench.Cost, and the
+   reconciliation of the kernel's one bit count with everything that reads
+   it — Write trace events, the engine.message_bits histogram, engine stats
+   and the networked session must all report the same bits.
 
-   The ledger instruments are process-global, so every test enables the
-   ledger around its own runs and leaves it disabled on exit. *)
+   The engine.* instruments are process-global, so every check reads them
+   as deltas around its own runs. *)
 
 module Obs = Wb_obs
-module Cost = Wb_obs.Cost
+module Cost = Wb_bench.Cost
 module Engine = Wb_model.Engine
 module Adversary = Wb_model.Adversary
+module Protocol = Wb_model.Protocol
 module G = Wb_graph
 module Reg = Wb_protocols.Registry
 module Net = Wb_net
 module Prng = Wb_support.Prng
 module Counting = Wb_reductions.Counting
+module Nat = Wb_bignum.Nat
 
 let check msg = Alcotest.(check bool) msg true
 
-let qtest t = QCheck_alcotest.to_alcotest t
-
-let with_cost f =
-  Cost.enable ();
-  Fun.protect ~finally:Cost.disable f
-
-(* --- the ledger itself ------------------------------------------------- *)
-
-let ledger_tests =
-  [ Alcotest.test_case "a disabled process allocates no ledger" `Quick (fun () ->
-        Cost.disable ();
-        check "create is None when off" (Cost.create () = None);
-        check "is_enabled reflects the default" (not (Cost.is_enabled ())));
-    Alcotest.test_case "record / flush_round round-trips the summary" `Quick (fun () ->
-        with_cost (fun () ->
-            let l = Option.get (Cost.create ()) in
-            Cost.record l ~round:0 ~bits:5 ~board_bits:5;
-            Cost.record l ~round:0 ~bits:7 ~board_bits:12;
-            (match Cost.flush_round l with
-            | Some { Cost.round = 0; writes = 2; bits = 12 } -> ()
-            | Some s ->
-              Alcotest.failf "wrong summary: round %d, %d writes, %d bits" s.Cost.round
-                s.Cost.writes s.Cost.bits
-            | None -> Alcotest.fail "flush returned None after two writes");
-            check "a round with no writes flushes to None" (Cost.flush_round l = None);
-            Alcotest.(check int) "total bits" 12 (Cost.total_bits l);
-            Alcotest.(check int) "total writes" 2 (Cost.total_writes l)));
-    Alcotest.test_case "discard_round drops the open round, totals stand" `Quick (fun () ->
-        with_cost (fun () ->
-            let l = Option.get (Cost.create ()) in
-            Cost.record l ~round:3 ~bits:9 ~board_bits:9;
-            Cost.discard_round l;
-            check "nothing left to flush" (Cost.flush_round l = None);
-            Alcotest.(check int) "replayed bits still counted" 9 (Cost.total_bits l))) ]
-
 (* --- certificates ------------------------------------------------------ *)
 
+(* 2^(n^2) members, so the Lemma 3 floor is exactly n bits. *)
 let toy_cert =
   { Cost.form = "2n (toy)";
     envelope = (fun ~n -> 2 * n);
-    floor = Some (fun ~n -> n);
-    floor_class = Some "toy" }
+    floor = Some { Counting.name = "toy"; count = (fun n -> Nat.shift_left Nat.one (n * n)) } }
 
 let certificate_tests =
   [ Alcotest.test_case "check compares measured against envelope and floor" `Quick (fun () ->
@@ -72,104 +39,90 @@ let certificate_tests =
     Alcotest.test_case "every registry certificate holds at n=16" `Quick (fun () ->
         List.iter
           (fun (e : Reg.entry) ->
-            let r = Wb_bench.Cost.measure e ~seed:2012 ~n:16 in
-            check (e.Reg.key ^ " verdict") (Cost.verdict_ok r.Wb_bench.Cost.verdict))
-          (Reg.all ()));
-    Alcotest.test_case "registry floors match Wb_reductions.Counting" `Quick (fun () ->
-        (* The registry duplicates the Lemma 3 arithmetic with Wb_bignum to
-           stay out of a dependency cycle with wb_reductions; this is the
-           cross-check that the two computations agree. *)
-        let sqrt_cutoff n = int_of_float (sqrt (float_of_int n)) in
-        List.iter
-          (fun (e : Reg.entry) ->
-            match (e.Reg.certificate.Cost.floor, e.Reg.certificate.Cost.floor_class) with
-            | None, None -> ()
-            | Some floor, Some cls ->
-              let reference =
-                if cls = Counting.labelled_trees.Counting.name then Counting.labelled_trees
-                else if cls = Counting.all_graphs.Counting.name then Counting.all_graphs
-                else if cls = (Counting.isolated_tail ~f:sqrt_cutoff).Counting.name then
-                  Counting.isolated_tail ~f:sqrt_cutoff
-                else Alcotest.failf "%s: unknown floor class %S" e.Reg.key cls
-              in
-              List.iter
-                (fun n ->
-                  Alcotest.(check int)
-                    (Printf.sprintf "%s floor at n=%d" e.Reg.key n)
-                    (Counting.min_message_bits reference n)
-                    (floor ~n))
-                [ 2; 4; 16; 64; 256 ]
-            | _ -> Alcotest.failf "%s: floor and floor_class must come together" e.Reg.key)
-          (Reg.all ())) ]
+            let r = Cost.measure e ~seed:2012 ~n:16 in
+            check (e.Reg.key ^ " verdict") (Cost.verdict_ok r.Cost.verdict))
+          (Reg.all ());
+        check "an unknown key has no certificate"
+          (match Cost.certificate "no-such" with
+          | exception Invalid_argument _ -> true
+          | _ -> false)) ]
 
-(* --- ledger == engine stats == trace events, all four models ----------- *)
+(* --- Write events == engine.message_bits == engine stats --------------- *)
 
-let cost_round_bits events =
+let message_bits = Obs.Metrics.histogram "engine.message_bits"
+let engine_writes = Obs.Metrics.counter "engine.writes"
+
+let write_bits events =
   List.fold_left
-    (fun acc ev -> match ev with Obs.Event.Cost_round { bits; _ } -> acc + bits | _ -> acc)
+    (fun acc ev -> match ev with Obs.Event.Write { bits; _ } -> acc + bits | _ -> acc)
     0 events
 
-let engine_cross_check key g =
+(* One traced run of [key] on [g]: the Write events and the histogram must
+   both account the run's [total_bits], the histogram once per append. *)
+let reconciles g key =
   let entry = Option.get (Reg.find key) in
-  let c_bits = Obs.Metrics.counter "cost.total_bits" in
-  let c_writes = Obs.Metrics.counter "cost.writes" in
-  let b0 = Obs.Metrics.counter_value c_bits in
-  let w0 = Obs.Metrics.counter_value c_writes in
+  let c0 = Obs.Metrics.histogram_count message_bits in
+  let s0 = Obs.Metrics.histogram_sum message_bits in
   let sink, events = Obs.Trace.collector () in
   let run = Engine.run_packed ~trace:sink entry.Reg.protocol g Adversary.min_id in
-  check (key ^ ": succeeded") (Engine.succeeded run);
   let total = run.Engine.stats.Engine.total_bits in
-  Alcotest.(check int)
-    (key ^ ": cost_round events sum to the engine total")
-    total
-    (cost_round_bits (events ()));
-  Alcotest.(check int)
-    (key ^ ": cost.total_bits counter advanced by the engine total")
-    total
-    (Obs.Metrics.counter_value c_bits - b0);
-  Alcotest.(check int)
-    (key ^ ": one accounted write per board append")
-    (Array.length run.Engine.writes)
-    (Obs.Metrics.counter_value c_writes - w0)
+  let writes = Array.length run.Engine.writes in
+  let counted = Obs.Metrics.histogram_count message_bits - c0 in
+  let summed = Obs.Metrics.histogram_sum message_bits - s0 in
+  let traced = write_bits (events ()) in
+  if not (Engine.succeeded run) then QCheck.Test.fail_reportf "%s: run failed" key
+  else if traced <> total || counted <> writes || summed <> total then
+    QCheck.Test.fail_reportf
+      "%s: total_bits %d over %d writes; Write events carry %d bits; engine.message_bits \
+       observed %d values summing to %d"
+      key total writes traced counted summed
+  else true
 
 let reconciliation_tests =
-  [ qtest
-      (QCheck.Test.make ~count:15
-         ~name:"ledger equals engine stats across all four models"
+  [ QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 2012 |])
+      (QCheck.Test.make ~count:15 ~name:"Write events and engine.message_bits equal engine stats"
          (QCheck.make
             ~print:(fun (n, seed) -> Printf.sprintf "n=%d seed=%d" n seed)
             QCheck.Gen.(pair (5 -- 10) (0 -- 9999)))
          (fun (n, seed) ->
-           with_cost (fun () ->
-               let g = G.Gen.random_gnp (Prng.create seed) n 0.4 in
-               (* one Any_graph protocol per model: SIMASYNC, SIMSYNC, ASYNC, SYNC *)
-               List.iter
-                 (fun key -> engine_cross_check key g)
-                 [ "build-naive"; "mis"; "eob-bfs"; "bfs" ];
-               true)));
+           let g = G.Gen.random_gnp (Prng.create seed) n 0.4 in
+           (* one Any_graph protocol per model: SIMASYNC, SIMSYNC, ASYNC, SYNC *)
+           List.for_all (reconciles g) [ "build-naive"; "mis"; "eob-bfs"; "bfs" ]));
+    Alcotest.test_case "verify observes every write, replays included" `Quick (fun () ->
+        let g = G.Gen.random_tree (Prng.create 4) 6 in
+        let w0 = Obs.Metrics.counter_value engine_writes in
+        let c0 = Obs.Metrics.histogram_count message_bits in
+        (match
+           Engine.verify_packed ~jobs:2
+             (Protocol.opaque Wb_protocols.Build_forest.protocol)
+             g Engine.succeeded
+         with
+        | Ok v -> check "every schedule succeeds" v.Engine.valid
+        | Error (`Limit k) -> Alcotest.failf "verify hit its limit at %d" k);
+        let writes = Obs.Metrics.counter_value engine_writes - w0 in
+        check "backtracking replays writes" (writes > 6);
+        Alcotest.(check int) "one observation per write" writes
+          (Obs.Metrics.histogram_count message_bits - c0));
     Alcotest.test_case "loopback sessions reconcile board bits with wire bytes" `Quick (fun () ->
-        with_cost (fun () ->
-            let entry = Option.get (Reg.find "bfs") in
-            let g = G.Gen.random_connected (Prng.create 2) 8 0.3 in
-            let board = Obs.Metrics.counter "net.session.board_bits" in
-            let wire = Obs.Metrics.counter "net.session.wire_bytes" in
-            let c_bits = Obs.Metrics.counter "cost.total_bits" in
-            let b0 = Obs.Metrics.counter_value board in
-            let w0 = Obs.Metrics.counter_value wire in
-            let l0 = Obs.Metrics.counter_value c_bits in
-            let r = Net.Remote.run_loopback ~protocol:entry.Reg.protocol g Adversary.min_id in
-            check "succeeded" (Engine.succeeded r.Net.Session.run);
-            let total = r.Net.Session.run.Engine.stats.Engine.total_bits in
-            Alcotest.(check int) "session board-bit counter advanced by the run total" total
-              (Obs.Metrics.counter_value board - b0);
-            Alcotest.(check int) "the referee's ledger saw the same bits over the wire" total
-              (Obs.Metrics.counter_value c_bits - l0);
-            let wire_bits = 8 * (Obs.Metrics.counter_value wire - w0) in
-            check "framing makes the wire strictly wider than the board" (wire_bits > total);
-            check "the overhead gauge is set"
-              (Obs.Metrics.gauge_value (Obs.Metrics.gauge "net.session.wire_overhead_pct") > 100))) ]
+        let entry = Option.get (Reg.find "bfs") in
+        let g = G.Gen.random_connected (Prng.create 2) 8 0.3 in
+        let board = Obs.Metrics.counter "net.session.board_bits" in
+        let wire = Obs.Metrics.counter "net.session.wire_bytes" in
+        let b0 = Obs.Metrics.counter_value board in
+        let w0 = Obs.Metrics.counter_value wire in
+        let s0 = Obs.Metrics.histogram_sum message_bits in
+        let r = Net.Remote.run_loopback ~protocol:entry.Reg.protocol g Adversary.min_id in
+        check "succeeded" (Engine.succeeded r.Net.Session.run);
+        let total = r.Net.Session.run.Engine.stats.Engine.total_bits in
+        Alcotest.(check int) "session board-bit counter advanced by the run total" total
+          (Obs.Metrics.counter_value board - b0);
+        Alcotest.(check int) "the referee's kernel observed the same bits" total
+          (Obs.Metrics.histogram_sum message_bits - s0);
+        let wire_bits = 8 * (Obs.Metrics.counter_value wire - w0) in
+        check "framing makes the wire strictly wider than the board" (wire_bits > total);
+        check "the overhead gauge is set"
+          (Obs.Metrics.gauge_value (Obs.Metrics.gauge "net.session.wire_overhead_pct") > 100)) ]
 
 let suites =
-  [ ("cost.ledger", ledger_tests);
-    ("cost.certificates", certificate_tests);
-    ("cost.reconciliation", reconciliation_tests) ]
+  [ ("cost.certificates", certificate_tests); ("cost.reconciliation", reconciliation_tests) ]

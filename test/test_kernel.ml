@@ -265,15 +265,12 @@ let words_per_write n adv =
 
 let linearity_tests =
   [ Alcotest.test_case "forward path allocates O(1) words per write" `Quick (fun () ->
-        (* Every instrument off for the measurement, whatever the
-           environment or an earlier test switched on. *)
-        let prof = Wb_obs.Prof.is_enabled () and cost = Wb_obs.Cost.is_enabled () in
+        (* Profiling off for the measurement, whatever the environment or
+           an earlier test switched on. *)
+        let prof = Wb_obs.Prof.is_enabled () in
         Wb_obs.Prof.disable ();
-        Wb_obs.Cost.disable ();
         Fun.protect
-          ~finally:(fun () ->
-            if prof then Wb_obs.Prof.enable ();
-            if cost then Wb_obs.Cost.enable ())
+          ~finally:(fun () -> if prof then Wb_obs.Prof.enable ())
           (fun () ->
             List.iter
               (fun (name, adv) ->

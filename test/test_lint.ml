@@ -90,11 +90,11 @@ let test_lock () =
        "let f m fd = with_lock m (fun () -> Unix.select [ fd ] [] [] 1.0)\n");
   check_findings "qualified Sync.with_lock recognised" [ (lock, 1) ]
     (lint ~path:"lib/net/server.ml"
-       "let f m fd b = Wb_net.Sync.with_lock m (fun () -> Unix.read fd b 0 1)\n");
+       "let f m fd b = Wb_support.Sync.with_lock m (fun () -> Unix.read fd b 0 1)\n");
   check_findings "the same blocking call outside any lock is fine" []
     (lint ~path:"lib/net/server.ml" "let f fd = Unix.select [ fd ] [] [] 1.0\n");
   check_findings "sync.ml, the combinator's own definition, is exempt" []
-    (lint ~path:"lib/net/sync.ml"
+    (lint ~path:"lib/support/sync.ml"
        "let with_lock m f = Mutex.lock m; Fun.protect ~finally:(fun () -> Mutex.unlock m) f\n")
 
 (* ---- tier A: decode hygiene --------------------------------------------- *)

@@ -501,8 +501,8 @@ let engine_stream_tests =
           List.filter
             (function
               | E.Activate _ | E.Write _ | E.Deadlock_detected _ | E.Run_end _ -> true
-              | E.Round_start _ | E.Compose _ | E.Adversary_pick _ | E.Cost_round _
-              | E.Span_start _ | E.Span_stop _ -> false)
+              | E.Round_start _ | E.Compose _ | E.Adversary_pick _ | E.Span_start _
+              | E.Span_stop _ -> false)
             evs
         in
         check "skeleton equality" true (Report.events_of_run run = skeleton));
