@@ -225,56 +225,51 @@ let write_metrics_openmetrics = function
 
 let parse_host_port s =
   match String.rindex_opt s ':' with
-  | Some i -> (
+  | Some i when i > 0 -> (
     match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
     | Some port -> Some (String.sub s 0 i, port)
     | None -> None)
-  | None -> None
+  | _ -> None
 
-(* One TELEMETRY round-trip: the server answers on the handshake and closes,
-   so every probe is a fresh connection. *)
-let fetch_telemetry ~host ~port ~timeout ~tail =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port)) with
-  | exception Unix.Unix_error (err, _, _) ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Error (Printf.sprintf "cannot connect to %s:%d: %s" host port (Unix.error_message err))
-  | () -> (
-    let conn = Net.Conn.of_fd ~timeout ~peer:(Printf.sprintf "%s:%d" host port) fd in
-    let finish r =
-      Net.Conn.close conn;
-      r
-    in
-    match Net.Conn.send conn (Net.Wire.Telemetry_request { tail }) with
-    | Error f -> finish (Error (Net.Conn.fault_to_string f))
-    | Ok () -> (
-      match Net.Conn.recv conn with
-      | Ok (Net.Wire.Telemetry_reply { metrics; events; dropped }) ->
-        finish (Ok (metrics, events, dropped))
-      | Ok f -> finish (Error ("unexpected reply: " ^ Net.Wire.opcode_name f))
-      | Error f -> finish (Error (Net.Conn.fault_to_string f))))
+let die msg =
+  Printf.eprintf "wbctl: %s\n" msg;
+  exit 1
 
-(* One METRICS round-trip: the server's OpenMetrics scrape endpoint, same
-   handshake-and-close shape as TELEMETRY. *)
-let fetch_openmetrics ~host ~port ~timeout =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port)) with
-  | exception Unix.Unix_error (err, _, _) ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Error (Printf.sprintf "cannot connect to %s:%d: %s" host port (Unix.error_message err))
-  | () -> (
-    let conn = Net.Conn.of_fd ~timeout ~peer:(Printf.sprintf "%s:%d" host port) fd in
-    let finish r =
-      Net.Conn.close conn;
-      r
-    in
-    match Net.Conn.send conn Net.Wire.Metrics_request with
-    | Error f -> finish (Error (Net.Conn.fault_to_string f))
-    | Ok () -> (
-      match Net.Conn.recv conn with
-      | Ok (Net.Wire.Metrics_reply { body }) -> finish (Ok body)
-      | Ok f -> finish (Error ("unexpected reply: " ^ Net.Wire.opcode_name f))
-      | Error f -> finish (Error (Net.Conn.fault_to_string f))))
+(* Resolve [host] (a name or a numeric address) and connect to the first of
+   its addresses that accepts, each in its own socket family: a name may
+   resolve to an IPv6 address ahead of the IPv4 one a referee listens on. *)
+let connect ~host ~port ~timeout =
+  let peer = Printf.sprintf "%s:%d" host port in
+  let rec attempt err = function
+    | [] -> die (Printf.sprintf "cannot connect to %s: %s" peer err)
+    | ai :: rest -> (
+      match Unix.socket ai.Unix.ai_family ai.Unix.ai_socktype ai.Unix.ai_protocol with
+      | exception Unix.Unix_error (e, _, _) -> attempt (Unix.error_message e) rest
+      | fd -> (
+        match Unix.connect fd ai.Unix.ai_addr with
+        | () -> Net.Conn.of_fd ~timeout ~peer fd
+        | exception Unix.Unix_error (e, _, _) ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          attempt (Unix.error_message e) rest))
+  in
+  attempt "unknown host or port"
+    (Unix.getaddrinfo host (string_of_int port) [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ])
+
+(* One request/reply round-trip (the TELEMETRY or the METRICS RPC): the
+   server answers on the handshake and closes, so every probe is a fresh
+   connection.  [reply] picks the expected answer out of the reply frame. *)
+let probe ~host ~port ~timeout request reply =
+  let conn = connect ~host ~port ~timeout in
+  let r = Result.bind (Net.Conn.send conn request) (fun () -> Net.Conn.recv conn) in
+  Net.Conn.close conn;
+  match r with
+  | Error f -> die (Net.Conn.fault_to_string f)
+  | Ok frame -> (
+    match reply frame with
+    | Some v -> v
+    | None -> die ("unexpected reply: " ^ Net.Wire.opcode_name frame))
+
+let metrics_body = function Net.Wire.Metrics_reply { body } -> Some body | _ -> None
 
 let print_telemetry metrics_str =
   match Obs.Json.of_string metrics_str with
@@ -424,25 +419,23 @@ let trace_cmd =
   in
   let run_remote ~out ~tail spec =
     match parse_host_port spec with
-    | None ->
-      Printf.eprintf "wbctl: --remote wants HOST:PORT, got %s\n" spec;
-      exit 1
-    | Some (host, port) -> (
-      match fetch_telemetry ~host ~port ~timeout:5.0 ~tail with
-      | Error msg ->
-        Printf.eprintf "wbctl: %s\n" msg;
-        exit 1
-      | Ok (metrics, events, dropped) ->
-        let oc = open_out_or_die out in
-        List.iter
-          (fun line ->
-            output_string oc line;
-            output_char oc '\n')
-          events;
-        close_out oc;
-        Printf.printf "remote flight recorder: %d events -> %s (%d dropped or withheld)\n\n"
-          (List.length events) out dropped;
-        print_telemetry metrics)
+    | None -> die (Printf.sprintf "--remote wants HOST:PORT, got %s" spec)
+    | Some (host, port) ->
+      let metrics, events, dropped =
+        probe ~host ~port ~timeout:5.0 (Net.Wire.Telemetry_request { tail }) (function
+          | Net.Wire.Telemetry_reply { metrics; events; dropped } -> Some (metrics, events, dropped)
+          | _ -> None)
+      in
+      let oc = open_out_or_die out in
+      List.iter
+        (fun line ->
+          output_string oc line;
+          output_char oc '\n')
+        events;
+      close_out oc;
+      Printf.printf "remote flight recorder: %d events -> %s (%d dropped or withheld)\n\n"
+        (List.length events) out dropped;
+      print_telemetry metrics
   in
   let run_local key family n p seed adv out chrome metrics_json =
     with_entry key (fun e ->
@@ -546,7 +539,7 @@ let explore_cmd =
       & info [ "stats" ]
           ~doc:
             "Print the canonical-exploration counters (dedup hits, orbit collapses, steals, \
-             visited-table occupancy) from the metrics registry after the run")
+             states claimed, visited-table entries) from the metrics registry after the run")
   in
   let explore_ring_capacity = 65536 in
   let run key family n p seed metrics_json sample sample_out jobs trace_out no_dedup quiet stats
@@ -593,16 +586,12 @@ let explore_cmd =
         let print_stats () =
           if stats then begin
             let c name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
-            let gv name = Obs.Metrics.gauge_value (Obs.Metrics.gauge name) in
             Printf.printf "dedup hits:      %d\n" (c "explore.dedup_hits");
             Printf.printf "orbit collapses: %d\n" (c "explore.orbit_collapses");
             Printf.printf "steals:          %d\n" (c "explore.steals");
             Printf.printf "states claimed:  %d\n" (c "explore.states");
-            let slots = gv "explore.table_slots" in
-            let used = gv "explore.table_used" in
-            Printf.printf "table occupancy: %d/%d%s\n" used slots
-              (if slots > 0 then Printf.sprintf " (%.1f%%)" (100. *. float used /. float slots)
-               else "")
+            Printf.printf "table entries:   %d\n"
+              (Obs.Metrics.gauge_value (Obs.Metrics.gauge "explore.table_used"))
           end
         in
         let finish_trace () =
@@ -749,14 +738,7 @@ let join_cmd =
             Printf.eprintf "wbctl: --node %d: node ids are 1-based\n" v;
             exit 1
         in
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port)) with
-        | exception Unix.Unix_error (err, _, _) ->
-          Printf.eprintf "wbctl: cannot connect to %s:%d: %s\n" host port
-            (Unix.error_message err);
-          exit 1
-        | () -> ());
-        let conn = Net.Conn.of_fd ~timeout ~peer:(Printf.sprintf "%s:%d" host port) fd in
+        let conn = connect ~host ~port ~timeout in
         let client = Net.Client.create ~protocol:e.protocol ~key ~session ?node_pref () in
         match Net.Client.run client conn with
         | Error msg ->
@@ -1094,17 +1076,12 @@ let top_cmd =
   let run host port timeout watch openmetrics =
     let once () =
       if openmetrics then
-        match fetch_openmetrics ~host ~port ~timeout with
-        | Error msg ->
-          Printf.eprintf "wbctl: %s\n" msg;
-          exit 1
-        | Ok body -> print_string body
+        print_string (probe ~host ~port ~timeout Net.Wire.Metrics_request metrics_body)
       else
-        match fetch_telemetry ~host ~port ~timeout ~tail:0 with
-        | Error msg ->
-          Printf.eprintf "wbctl: %s\n" msg;
-          exit 1
-        | Ok (metrics, _, _) -> print_telemetry metrics
+        print_telemetry
+          (probe ~host ~port ~timeout (Net.Wire.Telemetry_request { tail = 0 }) (function
+            | Net.Wire.Telemetry_reply { metrics; _ } -> Some metrics
+            | _ -> None))
     in
     match watch with
     | None -> once ()
@@ -1262,31 +1239,11 @@ let metrics_cmd =
       | None ->
         if json then Obs.Json.to_string (Obs.Metrics.dump_json ()) ^ "\n"
         else Obs.Metrics.dump_openmetrics ()
-      | Some hostport ->
-        let host, port =
-          match String.rindex_opt hostport ':' with
-          | Some i -> (
-            let h = String.sub hostport 0 i in
-            let p = String.sub hostport (i + 1) (String.length hostport - i - 1) in
-            match int_of_string_opt p with
-            | Some p when h <> "" -> (h, p)
-            | _ ->
-              prerr_endline "wbctl: --remote expects HOST:PORT";
-              exit 1)
-          | None ->
-            prerr_endline "wbctl: --remote expects HOST:PORT";
-            exit 1
-        in
-        if json then begin
-          prerr_endline "wbctl: --json applies to the local registry only";
-          exit 1
-        end
-        else
-          match fetch_openmetrics ~host ~port ~timeout with
-          | Ok body -> body
-          | Error msg ->
-            Printf.eprintf "wbctl: %s\n" msg;
-            exit 1
+      | Some hostport -> (
+        match parse_host_port hostport with
+        | None -> die "--remote expects HOST:PORT"
+        | Some _ when json -> die "--json applies to the local registry only"
+        | Some (host, port) -> probe ~host ~port ~timeout Net.Wire.Metrics_request metrics_body)
     in
     match out with
     | None -> print_string body

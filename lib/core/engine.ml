@@ -52,9 +52,6 @@ let m_states =
   Obs.Metrics.counter ~help:"distinct configurations claimed by the canonical explorer"
     "explore.states"
 
-let m_table_slots =
-  Obs.Metrics.gauge ~help:"visited-table slot capacity of the last verify" "explore.table_slots"
-
 let m_table_used =
   Obs.Metrics.gauge ~help:"visited-table entries of the last verify" "explore.table_used"
 
@@ -386,11 +383,7 @@ module Make (P : Protocol.S) = struct
     Obs.Metrics.add m_orbit !collapses;
     Obs.Metrics.add m_states (Atomic.get states);
     if steals > 0 then Obs.Metrics.add m_steals steals;
-    Option.iter
-      (fun t ->
-        Obs.Metrics.set m_table_slots (Wb_support.Cset.capacity t);
-        Obs.Metrics.set m_table_used (Wb_support.Cset.cardinal t))
-      table;
+    Option.iter (fun t -> Obs.Metrics.set m_table_used (Wb_support.Cset.cardinal t)) table;
     if Atomic.get over then
       Error (`Limit (match table with Some t -> Wb_support.Cset.limit t | None -> limit))
     else

@@ -12,7 +12,7 @@
     - {!Make.verify} — the same exhaustive check split over multicore
       workers ([Domain.spawn]) scheduled by per-domain work-stealing deques
       ({!Wb_support.Deque}): canonical-state exploration (configuration
-      dedup through {!Machine.Make.digest} memoised in a lock-free
+      dedup through {!Machine.Make.digest} memoised in a mutex-guarded
       {!Wb_support.Cset}, and symmetry reduction through {!Wb_graph.Auto})
       where the protocol's declared {!Protocol.Traits} make it sound,
       schedule enumeration otherwise, with results that are deterministic
@@ -137,9 +137,9 @@ module Make (P : Protocol.S) : sig
   (** Exhaustive check over [jobs] work-stealing workers.  When the
       protocol's {!Protocol.Traits} declare confluence on [g], it enumerates
       {e configurations} instead of schedules: schedule prefixes reaching
-      the same {!Machine.Make.digest} are merged through a shared lock-free
-      visited table, and when the traits further declare a symmetry
-      promise, a sequential first phase prunes candidate writes to
+      the same {!Machine.Make.digest} are merged through a shared
+      mutex-guarded visited table, and when the traits further declare a
+      symmetry promise, a sequential first phase prunes candidate writes to
       stabilizer-orbit representatives of [Aut(g)] (prefix lex-leader with
       explicit stabilizer chains) before the remaining subtrees are fanned
       out.  Without a confluence promise on [g] the same workers enumerate

@@ -1,56 +1,19 @@
-type t = {
-  slots : int Atomic.t array; (* length a power of two; 0 = empty *)
-  mask : int;
-  limit : int;
-  used : int Atomic.t;
-}
-
-let max_limit = 3_000_000
-
-let rec pow2 c n = if c >= n then c else pow2 (c * 2) n
+type t = { lock : Mutex.t; digests : (int, unit) Hashtbl.t; limit : int }
 
 let create ?(limit = 1_000_000) () =
-  let limit = max 1 (min limit max_limit) in
-  (* Keep the load factor under 3/4 at the limit so probe chains stay short
-     and a CAS loser always finds an empty slot further along. *)
-  let cap = pow2 1024 ((limit * 4 / 3) + 2) in
-  { slots = Array.init cap (fun _ -> Atomic.make 0);
-    mask = cap - 1;
-    limit;
-    used = Atomic.make 0 }
-
-let norm d =
-  let d = d land max_int in
-  if d = 0 then 0x2545f4914f6cdd1d else d
+  { lock = Mutex.create (); digests = Hashtbl.create 64; limit = max 1 limit }
 
 let add t digest =
-  let d = norm digest in
-  let rec probe i =
-    let slot = t.slots.(i) in
-    let v = Atomic.get slot in
-    if v = d then `Present
-    else if v = 0 then
-      if Atomic.get t.used >= t.limit then `Full
-      else if Atomic.compare_and_set slot 0 d then begin
-        Atomic.incr t.used;
+  Sync.with_lock t.lock (fun () ->
+      if Hashtbl.mem t.digests digest then `Present
+      else if Hashtbl.length t.digests >= t.limit then `Full
+      else begin
+        Hashtbl.add t.digests digest ();
         `Added
-      end
-      else if Atomic.get slot = d then `Present
-      else probe ((i + 1) land t.mask)
-    else probe ((i + 1) land t.mask)
-  in
-  probe (d land t.mask)
+      end)
 
-let mem t digest =
-  let d = norm digest in
-  let rec probe i =
-    let v = Atomic.get t.slots.(i) in
-    if v = d then true else if v = 0 then false else probe ((i + 1) land t.mask)
-  in
-  probe (d land t.mask)
+let mem t digest = Sync.with_lock t.lock (fun () -> Hashtbl.mem t.digests digest)
 
-let cardinal t = Atomic.get t.used
+let cardinal t = Sync.with_lock t.lock (fun () -> Hashtbl.length t.digests)
 
 let limit t = t.limit
-
-let capacity t = Array.length t.slots

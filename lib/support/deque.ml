@@ -1,82 +1,56 @@
-(* Chase–Lev deque [Chase & Lev, SPAA 2005] on OCaml 5 atomics.  [top] only
-   ever increases (thief side); [bottom] is owner-written.  The circular
-   buffer lives behind an atomic so a grow publishes the new array to
-   thieves; a thief that raced a grow still reads the element it claimed
-   from the old array, which the owner never overwrites before the claim
-   (growth copies, it does not recycle live slots). *)
-
 type 'a t = {
-  top : int Atomic.t;
-  bottom : int Atomic.t;
-  buf : 'a option array Atomic.t;
+  lock : Mutex.t;
+  mutable bottom : 'a list; (* owner end, newest first *)
+  mutable top : 'a list; (* thief end, oldest first *)
+  mutable size : int;
 }
 
-let rec pow2 c n = if c >= n then c else pow2 (c * 2) n
+let create () = { lock = Mutex.create (); bottom = []; top = []; size = 0 }
 
-let create ?(capacity = 64) () =
-  let cap = pow2 1 (max 2 capacity) in
-  { top = Atomic.make 0; bottom = Atomic.make 0; buf = Atomic.make (Array.make cap None) }
-
-let size t = max 0 (Atomic.get t.bottom - Atomic.get t.top)
-
-let grow t tp b =
-  let a = Atomic.get t.buf in
-  let n = Array.length a in
-  let a' = Array.make (2 * n) None in
-  for i = tp to b - 1 do
-    a'.(i land ((2 * n) - 1)) <- a.(i land (n - 1))
-  done;
-  Atomic.set t.buf a';
-  a'
+let size t = Sync.with_lock t.lock (fun () -> t.size)
 
 let push t x =
-  let b = Atomic.get t.bottom in
-  let tp = Atomic.get t.top in
-  let a = Atomic.get t.buf in
-  let a = if b - tp >= Array.length a - 1 then grow t tp b else a in
-  a.(b land (Array.length a - 1)) <- Some x;
-  Atomic.set t.bottom (b + 1)
+  Sync.with_lock t.lock (fun () ->
+      t.bottom <- x :: t.bottom;
+      t.size <- t.size + 1)
 
-let take a i =
-  let x = a.(i land (Array.length a - 1)) in
-  match x with
-  | Some v -> v
-  | None -> assert false
+(* Split [l] into its first [length / 2] elements and the reversed rest.  An
+   empty end refills with half of the other, never all of it, so
+   alternating pops and steals cannot move the whole deque back and forth. *)
+let halve l =
+  let h = List.length l / 2 in
+  (List.filteri (fun i _ -> i < h) l, List.rev (List.filteri (fun i _ -> i >= h) l))
 
 let pop t =
-  let b = Atomic.get t.bottom - 1 in
-  let a = Atomic.get t.buf in
-  Atomic.set t.bottom b;
-  let tp = Atomic.get t.top in
-  if b < tp then begin
-    (* Already empty; restore the canonical empty shape. *)
-    Atomic.set t.bottom tp;
-    None
-  end
-  else if b > tp then begin
-    let x = take a b in
-    a.(b land (Array.length a - 1)) <- None;
-    Some x
-  end
-  else begin
-    (* One element left: race the thieves for it via [top]. *)
-    let won = Atomic.compare_and_set t.top tp (tp + 1) in
-    Atomic.set t.bottom (tp + 1);
-    if won then begin
-      let x = take a b in
-      a.(b land (Array.length a - 1)) <- None;
-      Some x
-    end
-    else None
-  end
+  Sync.with_lock t.lock (fun () ->
+      let bottom =
+        match t.bottom with
+        | [] ->
+          let older, newer = halve t.top in
+          t.top <- older;
+          newer
+        | l -> l
+      in
+      match bottom with
+      | x :: rest ->
+        t.bottom <- rest;
+        t.size <- t.size - 1;
+        Some x
+      | [] -> None)
 
 let steal t =
-  let tp = Atomic.get t.top in
-  let b = Atomic.get t.bottom in
-  if b - tp <= 0 then None
-  else begin
-    let a = Atomic.get t.buf in
-    match a.(tp land (Array.length a - 1)) with
-    | None -> None (* raced a grow/pop; caller retries elsewhere *)
-    | Some x -> if Atomic.compare_and_set t.top tp (tp + 1) then Some x else None
-  end
+  Sync.with_lock t.lock (fun () ->
+      let top =
+        match t.top with
+        | [] ->
+          let newer, older = halve t.bottom in
+          t.bottom <- newer;
+          older
+        | l -> l
+      in
+      match top with
+      | x :: rest ->
+        t.top <- rest;
+        t.size <- t.size - 1;
+        Some x
+      | [] -> None)

@@ -1,36 +1,28 @@
-(** Chase–Lev work-stealing deque.
+(** Work-stealing deque.
 
     One domain (the {e owner}) pushes and pops at the bottom; any other
     domain may {!steal} from the top.  The owner end behaves like a stack
     (LIFO — depth-first task order, bounded frontier memory), the thief end
     like a queue (FIFO — thieves take the oldest, typically largest,
-    subtree).  The buffer is circular and doubles in place when full, so
-    capacity never limits a push.
+    subtree).
 
-    Concurrency contract: [push] and [pop] must only be called from the
-    owning domain; [steal] and [size] are safe from any domain.  All
-    coordination state is [Atomic]; the element buffer itself is published
-    to thieves through the atomics (the standard Chase–Lev argument: a slot
-    is only read by a thief after an SC read of [bottom] proves the owner
-    wrote it, and a successful CAS on [top] claims it uniquely). *)
+    Concurrency contract: two lists and a count behind one [Mutex]; every
+    operation runs under it ({!Sync.with_lock}), so [push], [pop], [steal]
+    and [size] are linearizable from any domain and every pushed element
+    is returned by exactly one [pop] or [steal]. *)
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** [capacity] (default 64) is rounded up to a power of two. *)
+val create : unit -> 'a t
 
 val push : 'a t -> 'a -> unit
-(** Owner only: add at the bottom. *)
+(** Add at the bottom. *)
 
 val pop : 'a t -> 'a option
-(** Owner only: remove the most recently pushed remaining element.  [None]
-    when the deque is empty (including losing the race for the last element
-    to a thief). *)
+(** Remove the most recently pushed remaining element; [None] when empty. *)
 
 val steal : 'a t -> 'a option
-(** Any domain: remove the oldest element.  [None] when empty or when the
-    CAS race for the element is lost (callers treat both as "try another
-    victim"). *)
+(** Remove the oldest remaining element; [None] when empty. *)
 
 val size : 'a t -> int
-(** Approximate occupancy — a racy snapshot, for spill heuristics only. *)
+(** Elements held. *)
