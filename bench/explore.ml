@@ -1,9 +1,9 @@
 (* Exhaustive exploration as a deterministic record: every instance is
-   explored with [Engine.explore] and, with its traits forced opaque,
-   enumerated by [Engine.verify] at several worker counts; the verdicts
-   and execution counts must agree (the determinism contract — the suite
-   aborts on any divergence).  The canonical [Engine.verify] then records
-   the configurations it visited.  Every column is a count, independent of
+   enumerated by [Engine.verify] with its traits forced opaque, at several
+   worker counts; the verdicts and execution counts must agree with one
+   worker's (the determinism contract — the suite aborts on any
+   divergence).  The canonical [Engine.verify] then records the
+   configurations it visited.  Every column is a count, independent of
    the worker count and the host; wall-clock timing is perfbench's job.
    [fast] drops K7 and the four-worker enumeration. *)
 
@@ -23,23 +23,22 @@ let verify_fields (v : P.Engine.verification) =
    configurations (interior + final) must undercut the enumerator's
    execution count by at least that factor. *)
 let instance rep ~jobs_list ?min_ratio ~name ~protocol ~graph ~check () =
-  let seq_ok, seq_count =
-    match P.Engine.explore_packed protocol graph check with
-    | Ok r -> r
-    | Error (`Limit _) -> failwith (name ^ ": sequential exploration hit the limit")
+  let enumerate jobs =
+    match P.Engine.verify_packed ~jobs (P.Protocol.opaque protocol) graph check with
+    | Ok v -> (v.P.Engine.valid, v.P.Engine.finals)
+    | Error (`Limit _) ->
+      failwith (Printf.sprintf "%s: enumeration hit the limit at jobs %d" name jobs)
   in
-  let enumerated = P.Protocol.opaque protocol in
+  let seq_ok, seq_count = enumerate 1 in
   List.iter
     (fun jobs ->
-      match P.Engine.verify_packed ~jobs enumerated graph check with
-      | Error (`Limit _) -> failwith (name ^ ": parallel exploration hit the limit")
-      | Ok v ->
-        if v.P.Engine.valid <> seq_ok then failwith (name ^ ": parallel verdict diverged");
-        if seq_ok && v.P.Engine.finals <> seq_count then
-          failwith
-            (Printf.sprintf "%s: parallel execution count diverged at jobs %d (%d vs %d)" name
-               jobs v.P.Engine.finals seq_count))
-    jobs_list;
+      let ok, count = enumerate jobs in
+      if ok <> seq_ok then failwith (name ^ ": parallel verdict diverged");
+      if count <> seq_count then
+        failwith
+          (Printf.sprintf "%s: parallel execution count diverged at jobs %d (%d vs %d)" name jobs
+             count seq_count))
+    (List.filter (fun jobs -> jobs > 1) jobs_list);
   let v =
     match P.Engine.verify_packed protocol graph check with
     | Ok v -> v

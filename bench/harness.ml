@@ -30,7 +30,9 @@ let check ok fmt =
 
 (* Validate [protocol] for [problem] over a list of graphs: every graph is
    run under five adversary strategies ([seed] drives the random one), and
-   exhaustively when n <= limit.  Returns (ok, runs, max bits seen). *)
+   under every schedule when n <= exhaustive_below ([verify] enumerating on
+   one domain, so [validate] sees each execution once).  Returns (ok, runs,
+   max bits seen). *)
 let verify ~seed protocol problem graphs ~exhaustive_below =
   let runs = ref 0 in
   let max_bits = ref 0 in
@@ -56,8 +58,10 @@ let verify ~seed protocol problem graphs ~exhaustive_below =
         (fun adv -> if not (validate (P.Engine.run_packed protocol g adv)) then ok := false)
         strategies;
       if G.Graph.n g <= exhaustive_below then begin
-        match P.Engine.explore_packed ~limit:200_000 protocol g validate with
-        | Ok (all_ok, _count) -> if not all_ok then ok := false
+        match
+          P.Engine.verify_packed ~limit:200_000 ~jobs:1 (P.Protocol.opaque protocol) g validate
+        with
+        | Ok v -> if not v.P.Engine.valid then ok := false
         | Error (`Limit limit) ->
           Printf.printf "  !! exploration exceeded %d executions\n" limit;
           ok := false

@@ -28,26 +28,23 @@ let connectivity ~seed =
 let deadlock () =
   Harness.subsection "Open Problem 3 — why ASYNC seems too weak for BFS";
   let odd = G.Graph.of_edges 5 [ (0, 1); (0, 2); (1, 2); (1, 3); (3, 4) ] in
-  let ok, schedules =
-    match
-      P.Engine.explore_packed Wb_protocols.Bfs_bipartite_async.protocol odd (fun r ->
-          P.Engine.outcome_equal r.P.Engine.outcome P.Engine.Deadlock)
-    with
-    | Ok r -> r
+  let protocol = P.Protocol.opaque Wb_protocols.Bfs_bipartite_async.protocol in
+  let every_schedule g check =
+    match P.Engine.verify_packed protocol g check with
+    | Ok v -> (v.P.Engine.valid, v.P.Engine.finals)
     | Error (`Limit _) -> (false, 0)
+  in
+  let ok, schedules =
+    every_schedule odd (fun r -> P.Engine.outcome_equal r.P.Engine.outcome P.Engine.Deadlock)
   in
   Harness.check ok "ASYNC layer protocol on triangle+tail: deadlocks under all %d schedules  "
     schedules;
   let even = G.Gen.cycle 6 in
-  let ok2 =
-    match
-      P.Engine.explore_packed Wb_protocols.Bfs_bipartite_async.protocol even (fun r ->
-          match r.P.Engine.outcome with
-          | P.Engine.Success a -> P.Problems.valid_answer P.Problems.Bfs even a
-          | _ -> false)
-    with
-    | Ok (ok2, _) -> ok2
-    | Error (`Limit _) -> false
+  let ok2, _ =
+    every_schedule even (fun r ->
+        match r.P.Engine.outcome with
+        | P.Engine.Success a -> P.Problems.valid_answer P.Problems.Bfs even a
+        | _ -> false)
   in
   Harness.check ok2 "same protocol on C6 (bipartite): succeeds under all schedules       "
 

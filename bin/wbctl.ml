@@ -485,28 +485,14 @@ let trace_cmd =
       $ chrome_arg $ metrics_json_arg $ remote_arg $ tail_arg)
 
 let explore_cmd =
-  let sample_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "sample-trace" ] ~docv:"K"
-          ~doc:"Write every K-th execution window of the exploration to the --sample-out file")
-  in
-  let sample_out_arg =
-    Arg.(
-      value
-      & opt string "explore-trace.jsonl"
-      & info [ "sample-out" ] ~docv:"FILE" ~doc:"Destination of the sampled trace")
-  in
   let jobs_arg =
     Arg.(
       value
       & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Split the exploration over N worker domains.  The printed result \
-             is identical at every N; incompatible with --sample-trace \
-             (parallel workers interleave events with no meaningful order)")
+            "Split the exploration over N worker domains.  The printed result is identical at \
+             every N")
   in
   let trace_out_arg =
     Arg.(
@@ -542,36 +528,15 @@ let explore_cmd =
              states claimed, visited-table entries) from the metrics registry after the run")
   in
   let explore_ring_capacity = 65536 in
-  let run key family n p seed metrics_json sample sample_out jobs trace_out no_dedup quiet stats
-      profile =
+  let run key family n p seed metrics_json jobs trace_out no_dedup quiet stats profile =
     apply_profile profile;
     with_entry key (fun e ->
         let g = make_graph ~family ~n ~p ~seed in
         let problem = e.problem (G.Graph.n g) in
-        (match sample with
-        | Some k when k <= 0 ->
-          prerr_endline "wbctl: --sample-trace K must be positive";
-          exit 1
-        | _ -> ());
         if jobs < 1 then begin
           prerr_endline "wbctl: --jobs N must be positive";
           exit 1
         end;
-        if jobs > 1 && sample <> None then begin
-          prerr_endline "wbctl: --sample-trace requires a sequential exploration (drop --jobs)";
-          exit 1
-        end;
-        if trace_out <> None && sample <> None then begin
-          prerr_endline "wbctl: --trace and --sample-trace are mutually exclusive";
-          exit 1
-        end;
-        let sink, oc =
-          match sample with
-          | None -> (None, None)
-          | Some k ->
-            let oc = open_out_or_die sample_out in
-            (Some (classic_only (Obs.Trace.sample ~every:k (Obs.Trace.jsonl_writer oc))), Some oc)
-        in
         let shards =
           match trace_out with
           | None -> None
@@ -595,7 +560,6 @@ let explore_cmd =
           end
         in
         let finish_trace () =
-          if sample <> None && not quiet then Printf.printf "sampled trace: %s\n" sample_out;
           match (trace_out, shards) with
           | Some file, Some rings ->
             Array.iteri
@@ -612,29 +576,13 @@ let explore_cmd =
                     rings))
           | _ -> ()
         in
-        let result =
-          match sink with
-          | Some _ ->
-            (* The sampled trace is the sequential explorer's depth-first
-               event stream; it stops at the first failing schedule. *)
-            let r = P.Engine.explore_packed ?trace:sink e.protocol g check in
-            Option.iter Obs.Trace.close sink;
-            Option.iter close_out oc;
-            Result.map
-              (fun (valid, finals) ->
-                { P.Engine.valid; states = 0; finals; dedup_hits = 0; orbit_collapses = 0;
-                  steals = 0; group_order = 1; dedup = false })
-              r
-          | None ->
-            (* Tracing observes individual executions, so it forces plain
-               enumeration like --no-dedup: the canonical explorer visits
-               each configuration once. *)
-            let enumerate = no_dedup || Option.is_some shards in
-            let protocol = if enumerate then P.Protocol.opaque e.protocol else e.protocol in
-            let limit = if enumerate then Some 1_000_000 else None in
-            P.Engine.verify_packed ?limit ~jobs ?shards protocol g check
-        in
-        match result with
+        (* Tracing observes individual executions, so it forces plain
+           enumeration like --no-dedup: the canonical explorer visits each
+           configuration once. *)
+        let enumerate = no_dedup || Option.is_some shards in
+        let protocol = if enumerate then P.Protocol.opaque e.protocol else e.protocol in
+        let limit = if enumerate then Some 1_000_000 else None in
+        match P.Engine.verify_packed ?limit ~jobs ?shards protocol g check with
         | Error (`Limit limit) ->
           Printf.eprintf "wbctl: exploration exceeded its limit (%d)\n" limit;
           exit 2
@@ -658,9 +606,8 @@ let explore_cmd =
          "Check a protocol under every adversarial schedule — canonical-state dedup and symmetry \
           reduction by default where the protocol's traits allow, plain enumeration otherwise")
     Term.(
-      const run $ key_arg $ family_arg $ n_arg $ p_arg $ seed_arg $ metrics_json_arg $ sample_arg
-      $ sample_out_arg $ jobs_arg $ trace_out_arg $ no_dedup_arg $ quiet_arg $ stats_arg
-      $ profile_arg)
+      const run $ key_arg $ family_arg $ n_arg $ p_arg $ seed_arg $ metrics_json_arg $ jobs_arg
+      $ trace_out_arg $ no_dedup_arg $ quiet_arg $ stats_arg $ profile_arg)
 
 (* ---- networked whiteboard (wb_net) ----------------------------------- *)
 

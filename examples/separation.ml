@@ -59,9 +59,13 @@ let () =
   let run = P.Engine.run_packed Wb_protocols.Bfs_sync.protocol any (P.Adversary.random rng) in
   Printf.printf "SYNC solves BFS on an arbitrary graph: %b\n" (P.Engine.succeeded run);
   let odd = G.Graph.of_edges 5 [ (0, 1); (0, 2); (1, 2); (1, 3); (3, 4) ] in
-  let all_deadlock, _ =
-    P.Engine.explore_packed_exn Wb_protocols.Bfs_bipartite_async.protocol odd (fun r ->
-        P.Engine.outcome_equal r.P.Engine.outcome P.Engine.Deadlock)
+  let all_deadlock =
+    match
+      P.Engine.verify_packed Wb_protocols.Bfs_bipartite_async.protocol odd (fun r ->
+          P.Engine.outcome_equal r.P.Engine.outcome P.Engine.Deadlock)
+    with
+    | Ok v -> v.P.Engine.valid
+    | Error (`Limit _) -> false
   in
   Printf.printf "the ASYNC certificate protocol deadlocks on a non-bipartite witness: %b\n"
     all_deadlock;

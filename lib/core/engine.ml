@@ -32,7 +32,9 @@ let stats_equal = Machine.stats_equal
 let m_runs = Obs.Metrics.counter ~help:"completed Engine.run executions" "engine.runs"
 
 let m_explore_execs =
-  Obs.Metrics.counter ~help:"complete executions visited by explore" "engine.explore_executions"
+  Obs.Metrics.counter
+    ~help:"executions checked by verify (distinct final configurations when canonical)"
+    "engine.explore_executions"
 
 let () = Obs.Metrics.probe ~help:"total 64-bit PRNG draws" "prng.draws" Wb_support.Prng.total_draws
 
@@ -59,8 +61,6 @@ let m_table_used =
    every Engine.Make instantiation like the metrics above. *)
 let prof_run = Obs.Prof.site "engine.run"
 let prof_worker = Obs.Prof.site "explore.worker"
-
-exception Limit_exceeded
 
 type verification = {
   valid : bool;
@@ -105,45 +105,6 @@ module Make (P : Protocol.S) = struct
     let result = Obs.Prof.phase prof_run loop in
     Obs.Metrics.incr m_runs;
     result
-
-  (* Depth-first enumeration of every adversarial schedule over one live
-     machine, snapshot/restore at each choice point.  The candidate view
-     does not survive a [restore], so each choice point copies it to a
-     list once.  [List.for_all]
-     short-circuits on the first failing subtree, so the execution count on
-     a failing check depends on candidate order — [verify] never
-     short-circuits; see docs/EXPLORATION.md. *)
-  let explore ?(limit = 1_000_000) ?trace g check =
-    let m = M.init ?trace g in
-    let executions = ref 0 in
-    let complete run =
-      incr executions;
-      Obs.Metrics.incr m_explore_execs;
-      if !executions > limit then raise Limit_exceeded;
-      check run
-    in
-    let rec go () =
-      match M.step m with
-      | `Write _ -> go ()
-      | `Done run -> complete run
-      | `Choices candidates ->
-        List.for_all
-          (fun v ->
-            let saved = M.snapshot m in
-            M.pick m v;
-            let ok = go () in
-            M.restore m saved;
-            ok)
-          (Wb_support.Rankset.to_list candidates)
-    in
-    match go () with
-    | all_ok -> Ok (all_ok, !executions)
-    | exception Limit_exceeded -> Error (`Limit limit)
-
-  let explore_exn ?limit ?trace g check =
-    match explore ?limit ?trace g check with
-    | Ok r -> r
-    | Error (`Limit _) -> failwith "Engine.explore: execution limit exceeded"
 
   (* Exhaustive exploration on one parallel walker.  Under the protocol's
      declared {!Protocol.Traits} it walks {e configurations} rather than
@@ -403,14 +364,6 @@ end
 let run_packed ?max_rounds ?trace ?span (module P : Protocol.S) g adv =
   let module E = Make (P) in
   E.run ?max_rounds ?trace ?span g adv
-
-let explore_packed ?limit ?trace (module P : Protocol.S) g check =
-  let module E = Make (P) in
-  E.explore ?limit ?trace g check
-
-let explore_packed_exn ?limit ?trace (module P : Protocol.S) g check =
-  let module E = Make (P) in
-  E.explore_exn ?limit ?trace g check
 
 let verify_packed ?limit ?jobs ?shards (module P : Protocol.S) g check =
   let module E = Make (P) in

@@ -3,22 +3,22 @@
     The operational semantics — rounds, activation, frozen vs synchronous
     composition, write candidates, deadlock — live in {!Machine}; this
     module adapts a {!Protocol.S} onto the kernel's hook signature and
-    provides the three in-process driving disciplines:
+    provides the two in-process driving disciplines:
 
     - {!Make.run} — one execution under one {!Adversary.t};
-    - {!Make.explore} — depth-first enumeration of {e every} adversarial
-      schedule, backtracking over a single live machine (the sequential
-      reference);
-    - {!Make.verify} — the same exhaustive check split over multicore
-      workers ([Domain.spawn]) scheduled by per-domain work-stealing deques
-      ({!Wb_support.Deque}): canonical-state exploration (configuration
-      dedup through {!Machine.Make.digest} memoised in a mutex-guarded
-      {!Wb_support.Cset}, and symmetry reduction through {!Wb_graph.Auto})
-      where the protocol's declared {!Protocol.Traits} make it sound,
-      schedule enumeration otherwise, with results that are deterministic
-      in the number of workers.
+    - {!Make.verify} — the exhaustive check over {e every} adversarial
+      schedule, split over multicore workers ([Domain.spawn]) scheduled by
+      per-domain work-stealing deques ({!Wb_support.Deque}): canonical-state
+      exploration (configuration dedup through {!Machine.Make.digest}
+      memoised in a mutex-guarded {!Wb_support.Cset}, and symmetry
+      reduction through {!Wb_graph.Auto}) where the protocol's declared
+      {!Protocol.Traits} make it sound, schedule enumeration otherwise (or
+      on {!Protocol.opaque}), with results that are deterministic in the
+      number of workers.  The test suite checks its enumeration against a
+      list interpreter of the paper's semantics that shares only the node
+      hooks and the {!run} record with the kernel.
 
-    The networked referee ([Wb_net.Session]) is the fourth consumer of the
+    The networked referee ([Wb_net.Session]) is the third consumer of the
     same kernel; it adds transport and fault handling but no semantics.
 
     {b Observability.}  With [?trace] attached the kernel emits the full
@@ -26,7 +26,7 @@
     adversary picks, writes, deadlock, run end); with it omitted no event
     is ever constructed.  A handful of process-global {!Wb_obs.Metrics} are
     always maintained ([engine.*]: runs, rounds, writes, bits per message,
-    recompositions, candidate-set sizes, board bits, deadlocks, explore
+    recompositions, candidate-set sizes, board bits, deadlocks, verified
     executions). *)
 
 type outcome = Machine.outcome =
@@ -50,8 +50,8 @@ type run = Machine.run = {
   board : Board.t;
       (** The final whiteboard — what the networked referee serves and the
           differential checks compare.  In [run] this is the execution's own
-          board; in [explore] it aliases the {e live} backtracking board, so
-          it is only meaningful inside the check callback. *)
+          board; in [verify] it aliases the worker's {e live} backtracking
+          board, so it is only meaningful inside the check callback. *)
 }
 
 val default_max_rounds : int -> int
@@ -106,27 +106,6 @@ module Make (P : Protocol.S) : sig
       closed — the caller owns it.  [span] parents the traced run's root
       span (see {!Machine.Make.init}). *)
 
-  val explore :
-    ?limit:int ->
-    ?trace:Wb_obs.Trace.t ->
-    Wb_graph.Graph.t ->
-    (run -> bool) ->
-    (bool * int, [ `Limit of int ]) result
-  (** [explore g check] enumerates {e every} adversarial schedule, calling
-      [check] on each complete execution.  Returns [Ok (all passed, number
-      of executions)], or [Error (`Limit limit)] when more than [limit]
-      (default 10^6) executions would be visited.  Short-circuits on the
-      first failing [check], so the count on a failing verdict depends on
-      schedule order ({!verify} never short-circuits).  [trace]
-      observes the depth-first event stream — shared schedule prefixes are
-      {e not} replayed, so consecutive [Run_end] windows are deltas; wrap
-      the sink in {!Wb_obs.Trace.sample} to keep every k-th window. *)
-
-  val explore_exn :
-    ?limit:int -> ?trace:Wb_obs.Trace.t -> Wb_graph.Graph.t -> (run -> bool) -> bool * int
-  (** {!explore}, raising [Failure] on [`Limit] — for call sites that treat
-      hitting the limit as a bug. *)
-
   val verify :
     ?limit:int ->
     ?jobs:int ->
@@ -153,10 +132,10 @@ module Make (P : Protocol.S) : sig
       configuration get at most one [check] call between them) and — when
       symmetry applies — be automorphism-invariant, which every
       graph-property differential here is.  Enumeration never
-      short-circuits, so on a failing tree [finals] is the full tree size,
-      where {!explore} stops early.  An exception raised by [check] or a
-      protocol hook stops every worker and is re-raised once all of them
-      have been joined.
+      short-circuits, so on a failing tree [finals] is the full tree size.
+      At [jobs = 1] it calls [check] on one domain, in depth-first schedule
+      order.  An exception raised by [check] or a protocol hook stops every
+      worker and is re-raised once all of them have been joined.
 
       [limit] (default [250_000]) bounds {e distinct configurations} in
       canonical mode and executions in enumeration; exceeding it returns
@@ -183,17 +162,6 @@ val run_packed :
   Wb_graph.Graph.t ->
   Adversary.t ->
   run
-
-val explore_packed :
-  ?limit:int ->
-  ?trace:Wb_obs.Trace.t ->
-  Protocol.t ->
-  Wb_graph.Graph.t ->
-  (run -> bool) ->
-  (bool * int, [ `Limit of int ]) result
-
-val explore_packed_exn :
-  ?limit:int -> ?trace:Wb_obs.Trace.t -> Protocol.t -> Wb_graph.Graph.t -> (run -> bool) -> bool * int
 
 val verify_packed :
   ?limit:int ->

@@ -1,8 +1,8 @@
 (** The execution kernel: one step machine implementing the paper's round
     semantics, shared by every consumer — {!Engine.Make.run} (one adversary),
-    {!Engine.Make.explore} and {!Engine.Make.verify} (all adversaries, with
-    backtracking), and the networked referee ([Wb_net.Session]), which wraps
-    protocol hooks in RPCs and injects faults via {!Make.kill}.
+    {!Engine.Make.verify} (all adversaries, with backtracking), and the
+    networked referee ([Wb_net.Session]), which wraps protocol hooks in RPCs
+    and injects faults via {!Make.kill}.
 
     Operational semantics (one round):
     + the previous round's writer becomes terminated (one node writes per
@@ -62,7 +62,7 @@ type run = {
   board : Board.t;
       (** The final whiteboard — what the networked referee serves and the
           differential checks compare.  This aliases the machine's {e live}
-          board, so under backtracking ([Engine.explore]) it is only
+          board, so under backtracking ([Engine.Make.verify]) it is only
           meaningful until the next [restore]. *)
 }
 

@@ -18,8 +18,9 @@
 (** Semantic declarations the canonical explorer ({!Engine.Make.verify})
     relies on.  They are promises about the protocol's {e meaning} that the
     type system cannot check; the qcheck differential suite pins each
-    declared protocol against the naive enumerator (the same contract shape
-    as SPIN's scalarsets).  A protocol that declares nothing
+    declared protocol against plain enumeration ({!opaque}) (the same
+    contract shape as SPIN's scalarsets), and the test suite checks that
+    enumeration against a list specification of the paper's semantics.  A protocol that declares nothing
     ({!Traits.opaque}) is always explored by plain enumeration. *)
 module Traits : sig
   type t = {

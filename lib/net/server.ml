@@ -14,13 +14,19 @@ type spec = {
 
 let ring_capacity = 4096
 
+(* A session's slot is reserved by a HELLO and joined once its HELLO-ACK
+   is out. *)
+type slot = Free | Reserved | Joined of Conn.t
+
+let is_free = function Free -> true | Reserved | Joined _ -> false
+
 type t = {
   spec : spec;
   fd : Unix.file_descr;
   port_no : int;
   lock : Mutex.t;
   cond : Condition.t;
-  pending : (string, Conn.t option array) Hashtbl.t;
+  pending : (string, slot array) Hashtbl.t;
   ring : Obs.Trace.Ring.buffer;
   ring_lock : Mutex.t;
   session_sink : Obs.Trace.t;
@@ -96,10 +102,10 @@ let reject conn code detail =
   ignore (Conn.send conn (Wire.Error { code; detail }));
   Conn.close conn
 
-(* Claim a slot for [session]; the caller holds no lock.  Returns the node
-   id plus, when this join completed the roster, the full connection
-   array — the claimer then referees the session on its own thread. *)
-let claim t ~session ~node_pref conn =
+(* Reserve a slot of [session] and return its node id; the caller holds no
+   lock.  The slot counts as taken from here on, but the session cannot
+   start until the caller has acked it and called [join]. *)
+let claim t ~session ~node_pref =
   let n = G.n t.spec.graph in
   Wb_support.Sync.with_lock t.lock (fun () ->
     match List.assoc_opt session t.results with
@@ -109,28 +115,49 @@ let claim t ~session ~node_pref conn =
         match Hashtbl.find_opt t.pending session with
         | Some s -> s
         | None ->
-          let s = Array.make n None in
+          let s = Array.make n Free in
           Hashtbl.add t.pending session s;
           s
       in
       let free = ref [] in
       for v = n - 1 downto 0 do
-        if Option.is_none slots.(v) then free := v :: !free
+        if is_free slots.(v) then free := v :: !free
       done;
       match (node_pref, !free) with
       | _, [] -> Result.Error (Wire.Session_busy, "session already full")
       | Some v, _ when v < 0 || v >= n ->
         Result.Error (Wire.Node_taken, Printf.sprintf "node %d out of range [0,%d)" v n)
-      | Some v, _ when Option.is_some slots.(v) ->
+      | Some v, _ when not (is_free slots.(v)) ->
         Result.Error (Wire.Node_taken, Printf.sprintf "node %d already claimed" v)
       | pref, first_free :: _ ->
         let v = match pref with Some v -> v | None -> first_free in
-        slots.(v) <- Some conn;
-        if Array.for_all Option.is_some slots then begin
+        slots.(v) <- Reserved;
+        Ok v))
+
+(* The HELLO-ACK for [node] is out: mark its slot joined.  When that joins
+   the last slot, return every connection — the caller then referees the
+   session on its own thread, which may write to any of them at once. *)
+let join t ~session node conn =
+  Wb_support.Sync.with_lock t.lock (fun () ->
+      match Hashtbl.find_opt t.pending session with
+      | None -> None
+      | Some slots ->
+        slots.(node) <- Joined conn;
+        let conns =
+          List.filter_map
+            (function Joined c -> Some c | Free | Reserved -> None)
+            (Array.to_list slots)
+        in
+        if List.length conns < Array.length slots then None
+        else begin
           Hashtbl.remove t.pending session;
-          Ok (v, Some (Array.map Option.get slots))
-        end
-        else Ok (v, None)))
+          Some (Array.of_list conns)
+        end)
+
+(* The ack never left: give the slot back. *)
+let release t ~session node =
+  Wb_support.Sync.with_lock t.lock (fun () ->
+      Option.iter (fun slots -> slots.(node) <- Free) (Hashtbl.find_opt t.pending session))
 
 let record_result t ~max_sessions session result =
   let enough =
@@ -188,9 +215,9 @@ let dispatch t ~max_sessions conn frame hello_ctx =
       reject conn Wire.Protocol_mismatch
         (Printf.sprintf "this server referees %S, not %S" t.spec.key protocol)
     else begin
-      match claim t ~session ~node_pref conn with
+      match claim t ~session ~node_pref with
       | Result.Error (code, detail) -> reject conn code detail
-      | Ok (node, completion) -> (
+      | Ok node -> (
         let ack =
           Wire.Hello_ack
             { session;
@@ -201,24 +228,28 @@ let dispatch t ~max_sessions conn frame hello_ctx =
                 (let module P = (val t.spec.protocol : M.Protocol.S) in
                  P.message_bound ~n:(G.n t.spec.graph)) }
         in
-        ignore (Conn.send conn ack);
-        match completion with
-        | None -> ()
-        | Some conns ->
-          (* The roster-completing HELLO's context parents the session span:
-             a remote-run driver hands every client the same root, so any
-             join's context names the same trace. *)
-          let result =
-            Session.run
-              { Session.protocol = t.spec.protocol;
-                graph = t.spec.graph;
-                adversary = t.spec.make_adversary ();
-                max_rounds = t.spec.max_rounds;
-                trace = Some t.session_sink;
-                parent = hello_ctx }
-              conns
-          in
-          record_result t ~max_sessions session result)
+        match Conn.send conn ack with
+        | Error _ ->
+          release t ~session node;
+          Conn.close conn
+        | Ok () -> (
+          match join t ~session node conn with
+          | None -> ()
+          | Some conns ->
+            (* The roster-completing HELLO's context parents the session span:
+               a remote-run driver hands every client the same root, so any
+               join's context names the same trace. *)
+            let result =
+              Session.run
+                { Session.protocol = t.spec.protocol;
+                  graph = t.spec.graph;
+                  adversary = t.spec.make_adversary ();
+                  max_rounds = t.spec.max_rounds;
+                  trace = Some t.session_sink;
+                  parent = hello_ctx }
+                conns
+            in
+            record_result t ~max_sessions session result))
     end
   | f, _ -> reject conn Wire.Bad_hello ("expected HELLO, got " ^ Wire.opcode_name f)
 

@@ -5,13 +5,15 @@
     server creates the session on first join (from the single {!spec} it
     serves), assigns the node id (the client's preference when free, the
     smallest free id otherwise), and answers HELLO-ACK with the node's
-    local view.  When the [n]-th node joins, that handshake thread runs the
-    {!Session} referee to completion, so independent sessions progress
-    concurrently while each session stays strictly sequential (the engine's
-    semantics are a sequential object).  Handshake failures — malformed
-    bytes, wrong protocol key, full or running session, taken node id —
-    are answered with a typed ERROR frame and a close, and never disturb
-    other sessions.
+    local view.  A node joins once its HELLO-ACK is sent (a slot whose ack
+    cannot be sent is freed again), so the session never writes to a client
+    ahead of its ack.  When the [n]-th node joins, that handshake thread
+    runs the {!Session} referee to completion, so independent sessions
+    progress concurrently while each session stays strictly sequential (the
+    engine's semantics are a sequential object).  Handshake failures —
+    malformed bytes, wrong protocol key, full or running session, taken node
+    id — are answered with a typed ERROR frame and a close, and never
+    disturb other sessions.
 
     {b Observability.}  Every session's event stream (spans included) is
     teed into a fixed-capacity flight-recorder ring.  A connection whose

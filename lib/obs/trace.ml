@@ -67,20 +67,3 @@ let jsonl_writer oc =
     (fun ev ->
       Json.to_channel oc (Event.to_json ev);
       output_char oc '\n')
-
-let sample ~every inner =
-  if every <= 0 then invalid_arg "Trace.sample: every must be positive";
-  let window = ref [] in
-  let index = ref 0 in
-  of_fn
-    ~close:(fun () ->
-      window := [];
-      close inner)
-    (fun ev ->
-      window := ev :: !window;
-      match ev with
-      | Event.Run_end _ ->
-        if !index mod every = 0 then List.iter (emit inner) (List.rev !window);
-        incr index;
-        window := []
-      | _ -> ())

@@ -3,8 +3,8 @@
     The engine takes an {e optional} sink; with none attached it constructs
     no events at all (the zero-cost-when-disabled contract), so a sink only
     pays for what it observes.  Sinks compose: [tee] fans one stream out to
-    several, [sample] keeps one execution window in [every], and {!Chrome}
-    (its own module) converts the stream to the Catapult viewer format.
+    several, and {!Chrome} (its own module) converts the stream to the
+    Catapult viewer format.
 
     [close] flushes sinks that buffer ({!Chrome.writer}, [jsonl_writer]
     leaves the channel open but flushed); it never closes an [out_channel]
@@ -48,11 +48,3 @@ end
 
 val jsonl_writer : out_channel -> t
 (** One {!Event.to_json} object per line.  [close] flushes the channel. *)
-
-val sample : every:int -> t -> t
-(** Execution-level sampling for {!val:Wb_model.Engine} [explore]-style
-    streams: events are buffered per execution window (delimited by
-    [Run_end]) and only every [every]-th window — the first, the
-    [every+1]-th, … — is forwarded.  [close] drops any incomplete window
-    and closes the inner sink.
-    @raise Invalid_argument when [every <= 0]. *)

@@ -34,6 +34,11 @@ dune build @check-prof --force
 # same-seed byte-determinism of the cost table.
 dune build @check-cost --force
 
+# Seeded mutants: every patch under test/mutants/ must make the suite it
+# names fail on a copy of the tree, and that suite must pass unpatched —
+# proof that the spec oracle for Engine.verify can fail.
+sh scripts/mutants.sh
+
 # The chaos referee: deterministic fault-injection campaigns — a pinned
 # same-seed report diff, a campaign from the committed plan fixture, and
 # a 100+-run seed sweep across all four model classes with the

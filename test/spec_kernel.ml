@@ -3,11 +3,14 @@
    shared whiteboard models", SPAA 2012, arXiv:1109.6534, Section 2), as a
    deliberately naive interpreter over lists.
 
-   It is the oracle for the execution kernel [Machine.Make]: it shares the
-   node hooks ([Machine.NODE]) and the result record with the kernel and
-   nothing else.  Every round recomputes what it needs from scratch — who
-   is on the board, who is a candidate — by scanning lists, and the
-   adversaries below take the candidates as a plain sorted list.
+   It is the oracle for the execution kernel [Machine.Make] and for the
+   exhaustive checker [Engine.Make.verify]: it shares the node hooks
+   ([Machine.NODE]) and the result record with the kernel and nothing
+   else.  Every round recomputes what it needs from scratch — who is on the
+   board, who is a candidate — by scanning lists, and the adversaries below
+   take the candidates as a plain sorted list.  [all_runs] enumerates every
+   schedule by replaying from the initial configuration, so it needs
+   neither snapshots nor digests.
 
    The model, as the paper states it.  Each node is awake, active or
    terminated (plus dead here, for a node whose composition faulted).  In a
@@ -60,6 +63,26 @@ module Adv = struct
   let alternating : t =
    fun board c -> if Board.length board mod 2 = 0 then List.hd c else List.nth c (List.length c - 1)
 end
+
+(* A protocol as node hooks, adapted the way [Engine.Make] adapts it. *)
+let node_of (module P : Protocol.S) : (module Machine.NODE) =
+  (module struct
+    let model = P.model
+
+    let message_bound = P.message_bound
+
+    type local = P.local
+
+    let init = P.init
+
+    let wants_to_activate ~round:_ view board local = P.wants_to_activate view board local
+
+    let compose ~round:_ view board local =
+      let writer, local = P.compose view board local in
+      Some (Message.of_writer ~author:(View.id view) writer, local)
+
+    let output = P.output
+  end)
 
 type state = Awake | Active | Terminated | Dead
 
@@ -180,4 +203,36 @@ module Make (N : Machine.NODE) = struct
                 activated_in = -1;
                 wrote_in = -1;
                 composed = 0 }) }
+
+  (* Every schedule, each exactly once, in lexicographic order of its
+     choices.  A run follows [prefix] (indices into the sorted candidate
+     lists of its first choices), then takes the first candidate at every
+     later choice and records how many candidates it had.  Each other
+     index at each of those choices starts a new prefix. *)
+  let all_runs ?max_rounds g =
+    let runs = ref [] in
+    let rec walk prefix =
+      let rest = ref prefix and widths = ref [] (* of the later choices, deepest first *) in
+      let follow : Adv.t =
+       fun _ candidates ->
+        match !rest with
+        | i :: tl ->
+          rest := tl;
+          List.nth candidates i
+        | [] ->
+          widths := List.length candidates :: !widths;
+          List.hd candidates
+      in
+      runs := run ?max_rounds g follow :: !runs;
+      let later = List.length !widths in
+      List.iteri
+        (fun k width ->
+          let zeros = List.init (later - 1 - k) (fun _ -> 0) in
+          for i = 1 to width - 1 do
+            walk (prefix @ zeros @ [ i ])
+          done)
+        !widths
+    in
+    walk [];
+    List.rev !runs
 end

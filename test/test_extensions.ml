@@ -69,7 +69,7 @@ let build_split_tests =
     Alcotest.test_case "exhaustive schedules on K4" `Quick (fun () ->
         let g = G.Gen.complete 4 in
         let ok, count =
-          Engine.explore_packed_exn (protocol 1) g (fun r ->
+          Exhaustive.every_schedule (protocol 1) g (fun r ->
               r.Engine.outcome = Engine.Success (Answer.Graph g))
         in
         check "all" true ok;

@@ -211,6 +211,205 @@ let spec_tests =
           (fun tag -> check tag true (Hashtbl.mem outcomes tag))
           [ "success"; "deadlock"; "size_violation"; "output_error" ]) ]
 
+(* ---- every schedule ------------------------------------------------------ *)
+
+(* [verify] against the spec's enumeration of every schedule.  On
+   [Protocol.opaque p] it must check exactly the runs the spec produces, as
+   a multiset and at any [jobs]; where the traits declare confluence, the
+   final boards it checks canonically must be the spec's (a subset of them
+   when symmetry prunes orbits). *)
+
+let outcome_key = function
+  | Machine.Success a ->
+    String.concat " " (String.split_on_char '\n' (Format.asprintf "success %a" Answer.pp a))
+  | Machine.Deadlock -> "deadlock"
+  | Machine.Size_violation { node; bits; bound } ->
+    Printf.sprintf "size_violation %d %d/%d" node bits bound
+  | Machine.Output_error e -> "output_error " ^ e
+
+let messages board =
+  List.map
+    (fun m ->
+      let bits = Message.payload m in
+      Printf.sprintf "%d:%s" (Message.author m)
+        (String.init (Array.length bits) (fun i -> if bits.(i) then '1' else '0')))
+    (Board.to_list board)
+
+(* Every field of a run, and the board's messages in write order. *)
+let run_key (r : Machine.run) =
+  let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
+  String.concat " | "
+    [ outcome_key r.outcome;
+      ints r.writes;
+      Printf.sprintf "rounds %d max %d total %d" r.stats.rounds r.stats.max_message_bits
+        r.stats.total_bits;
+      ints r.activation_round;
+      ints r.write_round;
+      ints r.message_bits;
+      ints r.compose_count;
+      String.concat " " (messages r.board) ]
+
+(* A final board: the outcome and the board's messages as a set. *)
+let final_key (r : Machine.run) =
+  outcome_key r.outcome ^ " | " ^ String.concat " " (List.sort String.compare (messages r.board))
+
+(* [verify]'s result with [verdict] as its check, and the keys of the runs
+   it checks, sorted.  [check] runs on every worker, and a run's board is
+   only valid during the call. *)
+let checked ?jobs ?(verdict = fun _ -> true) protocol g key =
+  let lock = Mutex.create () and keys = ref [] in
+  let record r =
+    let k = key r in
+    Wb_support.Sync.with_lock lock (fun () -> keys := k :: !keys);
+    verdict r
+  in
+  match Engine.verify_packed ?jobs protocol g record with
+  | Ok v -> (v, List.sort String.compare !keys)
+  | Error (`Limit l) -> Alcotest.failf "verify hit its limit (%d)" l
+
+let spec_runs protocol g =
+  let module S = Spec_kernel.Make ((val Spec_kernel.node_of protocol)) in
+  S.all_runs g
+
+(* The first key in one sorted list and not the other. *)
+let rec first_difference verify spec =
+  match (verify, spec) with
+  | [], [] -> "none"
+  | k :: _, [] -> "verify only: " ^ k
+  | [], k :: _ -> "spec only: " ^ k
+  | a :: verify', b :: spec' ->
+    let c = String.compare a b in
+    if c = 0 then first_difference verify' spec'
+    else if c < 0 then "verify only: " ^ a
+    else "spec only: " ^ b
+
+(* The check [enumeration_mismatch] hands [verify]: it rejects the runs in
+   which a node other than 0 writes first, which some instances have and
+   some do not. *)
+let node_0_first (r : Machine.run) = Array.length r.writes = 0 || r.writes.(0) = 0
+
+(* [verify] must check the spec's runs and report the verdict the spec's
+   runs give. *)
+let enumeration_mismatch ~spec protocol g =
+  let valid = List.for_all node_0_first spec in
+  let spec = List.sort String.compare (List.map run_key spec) in
+  List.find_map
+    (fun jobs ->
+      let v, seen = checked ~jobs ~verdict:node_0_first (Protocol.opaque protocol) g run_key in
+      if not (List.equal String.equal seen spec) then
+        Some
+          (Printf.sprintf "jobs %d: verify checked %d runs, the spec has %d (%s)" jobs
+             (List.length seen) (List.length spec) (first_difference seen spec))
+      else if v.Engine.valid <> valid then
+        Some
+          (Printf.sprintf "jobs %d: verify reports valid = %b, the spec's runs give %b" jobs
+             v.Engine.valid valid)
+      else None)
+    [ 1; 3 ]
+
+let canonical_mismatch ~spec protocol g =
+  let spec = List.sort_uniq String.compare (List.map final_key spec) in
+  let v, seen = checked protocol g final_key in
+  let seen = List.sort_uniq String.compare seen in
+  let ok =
+    if v.Engine.group_order = 1 then List.equal String.equal seen spec
+    else List.for_all (fun k -> List.mem k spec) seen
+  in
+  if ok then None
+  else
+    Some
+      (Printf.sprintf "|Aut| = %d: verify checked %d final boards, the spec reaches %d (%s)"
+         v.Engine.group_order (List.length seen) (List.length spec) (first_difference seen spec))
+
+(* [output] is a pure function of the board in write order, so the runs of
+   one interpreter over one instance can share its answers.  The spec and
+   the [verify] passes each get their own memo, so every outcome [verify]
+   reports is decoded under [verify]'s own backtracking. *)
+let memo_output (module P : Protocol.S) : Protocol.t =
+  let lock = Mutex.create () and answers = Hashtbl.create 64 in
+  (module struct
+    include P
+
+    let output ~n board =
+      let key = String.concat " " (messages board) in
+      let answer =
+        match Wb_support.Sync.with_lock lock (fun () -> Hashtbl.find_opt answers key) with
+        | Some a -> a
+        | None ->
+          let a = match P.output ~n board with a -> Ok a | exception e -> Error e in
+          Wb_support.Sync.with_lock lock (fun () -> Hashtbl.replace answers key a);
+          a
+      in
+      match answer with Ok a -> a | Error e -> raise e
+  end)
+
+(* The registry's promise instances, at every n the spec enumerates
+   quickly: the sketch entries decode slowly, so they stop at n = 5, and a
+   k-degenerate entry starts at n = k + 1, the smallest k-tree.  That is
+   71 instances of the 20 entries. *)
+let oracle_seed = 2012
+
+let oracle_instances = 71
+
+let registry_instances =
+  lazy
+    (List.concat_map
+       (fun (e : Wb_protocols.Registry.entry) ->
+         let smallest =
+           match e.promise with Wb_protocols.Registry.Degeneracy_at_most k -> k + 1 | _ -> 3
+         in
+         let largest = if String.ends_with ~suffix:"-sketch" e.key then 5 else 6 in
+         List.filter_map
+           (fun n ->
+             if n < smallest || n > largest then None
+             else
+               let g = Wb_protocols.Registry.sweep_graph e ~seed:oracle_seed ~n in
+               let spec = spec_runs (memo_output e.protocol) g in
+               Some (Printf.sprintf "%s n=%d" e.key n, memo_output e.protocol, g, spec))
+           [ 3; 4; 5; 6 ])
+       (Wb_protocols.Registry.all ()))
+
+let over_registry mismatch =
+  let instances = Lazy.force registry_instances in
+  Alcotest.(check int) "instances" oracle_instances (List.length instances);
+  let failures =
+    List.filter_map
+      (fun (name, protocol, g, spec) ->
+        Option.map (fun m -> name ^ ": " ^ m) (mismatch ~spec protocol g))
+      instances
+  in
+  if failures <> [] then Alcotest.fail (String.concat "\n" failures)
+
+let enumeration_tests =
+  [ Alcotest.test_case "the spec runs each schedule once" `Quick (fun () ->
+        (* Under SIMASYNC every order of the n writes is a schedule. *)
+        List.iter
+          (fun (name, protocol, g, spec) ->
+            if Protocol.model protocol = Model.Sim_async then begin
+              let n = G.Graph.n g in
+              let orders = List.sort_uniq compare (List.map (fun (r : Machine.run) -> r.writes) spec) in
+              let factorial = List.fold_left ( * ) 1 (List.init n succ) in
+              Alcotest.(check int) (name ^ " distinct orders") factorial (List.length orders);
+              Alcotest.(check int) (name ^ " runs") factorial (List.length spec)
+            end)
+          (Lazy.force registry_instances));
+    Alcotest.test_case "verify enumerates exactly the spec's runs on every registry entry" `Quick
+      (fun () ->
+        over_registry enumeration_mismatch;
+        (* The verdicts compared cover both answers. *)
+        let verdicts =
+          List.map
+            (fun (_, _, _, spec) -> List.for_all node_0_first spec)
+            (Lazy.force registry_instances)
+        in
+        Alcotest.(check (list bool)) "verdicts" [ false; true ]
+          (List.sort_uniq Bool.compare verdicts));
+    Alcotest.test_case "canonical verify checks the spec's final boards" `Quick (fun () ->
+        over_registry (fun ~spec protocol g ->
+            if (Protocol.traits protocol).Protocol.Traits.confluent g then
+              canonical_mismatch ~spec protocol g
+            else None)) ]
+
 (* ---- adversaries --------------------------------------------------------- *)
 
 (* Every strategy picks, on the rank-based view, exactly what its list
@@ -282,5 +481,6 @@ let linearity_tests =
 
 let suites =
   [ ("kernel.spec", spec_tests);
+    ("kernel.enumeration", enumeration_tests);
     ("kernel.adversary", adversary_tests);
     ("kernel.linearity", linearity_tests) ]

@@ -190,11 +190,9 @@ let explore_tests =
 
           let activate_when _ _ = true
         end) in
-        let module E = Engine.Make (P) in
-        let _, count = E.explore_exn (G.Gen.cycle 4) (fun _ -> true) in
-        Alcotest.(check int) "4!" 24 count;
-        let _, count = E.explore_exn (G.Gen.complete 5) (fun _ -> true) in
-        Alcotest.(check int) "5!" 120 count);
+        let count g = snd (Exhaustive.every_schedule (module P : Protocol.S) g (fun _ -> true)) in
+        Alcotest.(check int) "4!" 24 (count (G.Gen.cycle 4));
+        Alcotest.(check int) "5!" 120 (count (G.Gen.complete 5)));
     Alcotest.test_case "explore agrees with run on every schedule" `Quick (fun () ->
         (* SIMSYNC probe boards always read 0,1,2,...  regardless of order. *)
         let module P = Probe (struct
@@ -202,11 +200,11 @@ let explore_tests =
 
           let activate_when _ _ = true
         end) in
-        let module E = Engine.Make (P) in
-        let ok, count = E.explore_exn (G.Gen.path 4) (fun r ->
-            match r.Engine.outcome with
-            | Engine.Success (Answer.Node_set l) -> List.sort compare l = [ 0; 1; 2; 3 ]
-            | _ -> false)
+        let ok, count =
+          Exhaustive.every_schedule (module P : Protocol.S) (G.Gen.path 4) (fun r ->
+              match r.Engine.outcome with
+              | Engine.Success (Answer.Node_set l) -> List.sort compare l = [ 0; 1; 2; 3 ]
+              | _ -> false)
         in
         check "all ok" true ok;
         Alcotest.(check int) "24 schedules" 24 count);
@@ -217,16 +215,13 @@ let explore_tests =
           let activate_when _ _ = true
         end) in
         let module E = Engine.Make (P) in
-        (match E.explore ~limit:10 (G.Gen.complete 5) (fun _ -> true) with
-        | Error (`Limit 10) -> ()
-        | Error (`Limit l) -> Alcotest.failf "wrong limit payload: %d" l
-        | Ok _ -> Alcotest.fail "expected Error (`Limit _)");
-        (match E.verify ~limit:10 ~jobs:2 (G.Gen.complete 5) (fun _ -> true) with
-        | Error (`Limit 10) -> ()
-        | Error (`Limit l) -> Alcotest.failf "wrong parallel limit payload: %d" l
-        | Ok _ -> Alcotest.fail "expected parallel Error (`Limit _)");
-        Alcotest.check_raises "exn variant" (Failure "Engine.explore: execution limit exceeded")
-          (fun () -> ignore (E.explore_exn ~limit:10 (G.Gen.complete 5) (fun _ -> true)))) ]
+        List.iter
+          (fun jobs ->
+            match E.verify ~limit:10 ~jobs (G.Gen.complete 5) (fun _ -> true) with
+            | Error (`Limit 10) -> ()
+            | Error (`Limit l) -> Alcotest.failf "jobs %d: wrong limit payload: %d" jobs l
+            | Ok _ -> Alcotest.failf "jobs %d: expected Error (`Limit _)" jobs)
+          [ 1; 2 ]) ]
 
 let board_tests =
   [ Alcotest.test_case "append/find/truncate/generation" `Quick (fun () ->
@@ -494,11 +489,18 @@ let kill_tests =
           Alcotest.(check int) "same round" 2 run.Machine.stats.rounds
         | _ -> Alcotest.fail "expected deadlock") ]
 
-(* The canonical explorer against the naive enumerator: the Traits
+(* The canonical explorer against plain enumeration: the Traits
    declarations are promises the type system cannot check, so this
    differential is what actually pins them (the same contract shape as
    SPIN's scalarsets).  Verdicts must agree on every instance; in canonical
-   mode the visited-configuration count can only shrink. *)
+   mode the visited-configuration count can only shrink.  Enumeration
+   itself is checked against the list specification (Spec_kernel). *)
+let verify_seed = 2012
+
+let trait_count = 15
+
+let spec_count = 20
+
 let verify_tests =
   let protocols =
     [ ("bfs-sync", Wb_protocols.Bfs_sync.protocol, Problems.Bfs);
@@ -512,8 +514,9 @@ let verify_tests =
       QCheck.Gen.(pair (2 -- 5) (0 -- 9999))
   in
   [ QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"verify agrees with explore on random graphs" ~count:15 arb_instance
-         (fun (n, seed) ->
+      ~rand:(Random.State.make [| verify_seed |])
+      (QCheck.Test.make ~name:"verify agrees with enumeration on random graphs" ~count:trait_count
+         arb_instance (fun (n, seed) ->
            let g = G.Gen.random_gnp (Wb_support.Prng.create seed) n 0.5 in
            List.for_all
              (fun (name, protocol, problem) ->
@@ -522,14 +525,17 @@ let verify_tests =
                  | Engine.Success a -> Problems.valid_answer problem g a
                  | _ -> false
                in
-               match (Engine.explore_packed protocol g chk, Engine.verify_packed protocol g chk)
+               match
+                 ( Engine.verify_packed (Protocol.opaque protocol) g chk,
+                   Engine.verify_packed protocol g chk )
                with
-               | Ok (ok, count), Ok v ->
-                 let verdicts = ok = v.Engine.valid in
-                 let shrinks = (not v.Engine.dedup) || v.Engine.finals <= count in
+               | Ok e, Ok v ->
+                 let verdicts = e.Engine.valid = v.Engine.valid in
+                 let shrinks = (not v.Engine.dedup) || v.Engine.finals <= e.Engine.finals in
                  if not (verdicts && shrinks) then
-                   QCheck.Test.fail_reportf "%s: explore (%b, %d) vs verify (%b, %d+%d dedup=%b)"
-                     name ok count v.Engine.valid v.Engine.states v.Engine.finals v.Engine.dedup;
+                   QCheck.Test.fail_reportf
+                     "%s: enumeration (%b, %d) vs verify (%b, %d+%d dedup=%b)" name e.Engine.valid
+                     e.Engine.finals v.Engine.valid v.Engine.states v.Engine.finals v.Engine.dedup;
                  true
                | Error (`Limit _), Error (`Limit _) -> true
                | Ok _, Error _ | Error _, Ok _ ->
@@ -566,24 +572,20 @@ let verify_tests =
 
           let activate_when _ _ = true
         end) in
-        let g = G.Gen.complete 4 in
-        match
-          ( Engine.verify_packed (module P : Protocol.S) g (fun _ -> true),
-            Engine.explore_packed (module P : Protocol.S) g (fun _ -> true) )
-        with
-        | Ok v, Ok (ok, count) ->
+        match Engine.verify_packed (module P : Protocol.S) (G.Gen.complete 4) (fun _ -> true) with
+        | Ok v ->
           check "fallback flagged" false v.Engine.dedup;
-          check "verdict" true (v.Engine.valid = ok);
-          Alcotest.(check int) "execution count" count v.Engine.finals
-        | _ -> Alcotest.fail "unexpected limit");
-    (* Without a confluence promise verify enumerates on the same parallel
-       walker.  It must agree with the sequential explorer on the verdict
-       always, and on the execution count whenever the verdict is true (on
-       a failing verdict the sequential explorer short-circuits, so its
-       count is order-dependent by design). *)
+          check "verdict" true v.Engine.valid;
+          Alcotest.(check int) "execution count" 24 v.Engine.finals
+        | Error _ -> Alcotest.fail "unexpected limit");
+    (* Enumeration on the parallel walker against the list specification's
+       every-schedule enumeration (Test_kernel.enumeration_mismatch): the
+       same multiset of runs and the same verdict at one job and at three,
+       in every model. *)
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"enumeration agrees with explore across all four models" ~count:20
-         arb_instance (fun (n, seed) ->
+      ~rand:(Random.State.make [| verify_seed |])
+      (QCheck.Test.make ~name:"enumeration agrees with the spec across all four models"
+         ~count:spec_count arb_instance (fun (n, seed) ->
            List.for_all
              (fun model ->
                let module P = Probe (struct
@@ -591,24 +593,11 @@ let verify_tests =
 
                  let activate_when view board = Board.length board * 2 >= View.id view
                end) in
-               let module E = Engine.Make (P) in
                let g = G.Gen.random_gnp (Wb_support.Prng.create seed) n 0.5 in
-               let pass r = Engine.succeeded r in
-               let counts_agree =
-                 match (E.explore g pass, E.verify ~jobs:4 g pass) with
-                 | Ok (ok, count), Ok v ->
-                   ok = v.Engine.valid && ((not ok) || count = v.Engine.finals)
-                 | Error (`Limit _), Error (`Limit _) -> true
-                 | Ok _, Error _ | Error _, Ok _ -> false
-               in
-               let fail r = Array.length r.Engine.writes > 0 && r.Engine.writes.(0) = 0 in
-               let verdicts_agree =
-                 match (E.explore g fail, E.verify ~jobs:3 g fail) with
-                 | Ok (ok, _), Ok v -> ok = v.Engine.valid
-                 | Error (`Limit _), Error (`Limit _) -> true
-                 | Ok _, Error _ | Error _, Ok _ -> false
-               in
-               counts_agree && verdicts_agree)
+               let p = (module P : Protocol.S) in
+               match Test_kernel.(enumeration_mismatch ~spec:(spec_runs p g) p g) with
+               | None -> true
+               | Some m -> QCheck.Test.fail_reportf "%s: %s" (Model.name model) m)
              [ Model.Sim_async; Model.Sim_sync; Model.Async; Model.Sync ]));
     Alcotest.test_case "enumeration count and verdict are independent of jobs" `Quick (fun () ->
         let module Clique = Probe (struct
@@ -631,9 +620,6 @@ let verify_tests =
         in
         List.iter
           (fun (name, protocol, g, chk, executions) ->
-            let ok, count = Engine.explore_packed_exn protocol g chk in
-            check (name ^ " explore verdict") true ok;
-            Alcotest.(check int) (name ^ " explore count") executions count;
             List.iter
               (fun jobs ->
                 match Engine.verify_packed ~jobs protocol g chk with
@@ -642,7 +628,7 @@ let verify_tests =
                   let label = Printf.sprintf "%s jobs=%d" name jobs in
                   check (label ^ " valid") true v.Engine.valid;
                   check (label ^ " enumerated") false v.Engine.dedup;
-                  Alcotest.(check int) (label ^ " finals") count v.Engine.finals)
+                  Alcotest.(check int) (label ^ " finals") executions v.Engine.finals)
               [ 1; 2; 4 ])
           [ ("probe/K5", (module Clique : Protocol.S), G.Gen.complete 5, (fun _ -> true), 120);
             ("chain/K8", (module Chain : Protocol.S), G.Gen.complete 8, (fun _ -> true), 1);

@@ -668,6 +668,15 @@ let join_all ~port ~protocol ~session n =
   List.iter Thread.join threads;
   outcomes
 
+(* A session is fault-free when it recorded no (node, fault) pair; the
+   check prints the pairs it saw. *)
+let check_fault_free label (r : Net.Session.result) =
+  Alcotest.(check (list string))
+    label []
+    (List.map
+       (fun (v, f) -> Printf.sprintf "node %d: %s" v (Net.Session.fault_to_string f))
+       r.Net.Session.faults)
+
 let socket_tests =
   [ Alcotest.test_case "socket session at n=16 matches Engine.run exactly" `Quick (fun () ->
         let entry = Option.get (R.find "bfs") in
@@ -679,7 +688,7 @@ let socket_tests =
         with
         | Error msg -> Alcotest.failf "socket run failed: %s" msg
         | Ok r ->
-          check "fault-free" true (r.Net.Session.faults = []);
+          check_fault_free "fault-free" r;
           (match Net.Remote.diff_runs r.Net.Session.run local with
           | [] -> ()
           | issues -> Alcotest.failf "socket differential: %s" (String.concat "; " issues)));
@@ -737,7 +746,7 @@ let socket_tests =
           outcomes;
         (match Net.Server.take_result server "main" with
         | Some r ->
-          check "clean session" true (r.Net.Session.faults = []);
+          check_fault_free "clean session" r;
           let local = Engine.run_packed entry.R.protocol g Adversary.min_id in
           (match Net.Remote.diff_runs r.Net.Session.run local with
           | [] -> ()
@@ -796,7 +805,7 @@ let socket_tests =
             ignore (join_all ~port ~protocol:entry.R.protocol ~session 9);
             match Net.Server.take_result server session with
             | Some r ->
-              check (session ^ " fault-free") true (r.Net.Session.faults = []);
+              check_fault_free (session ^ " fault-free") r;
               (match Net.Remote.diff_runs r.Net.Session.run local with
               | [] -> ()
               | issues -> Alcotest.failf "%s: %s" session (String.concat "; " issues))

@@ -116,21 +116,7 @@ let trace_tests =
         Obs.Trace.close tr;
         Obs.Trace.close tr;
         Obs.Trace.emit tr (List.hd sample_events);
-        Alcotest.(check int) "one event" 1 (List.length (events ())));
-    Alcotest.test_case "sample keeps every k-th Run_end-delimited window" `Quick (fun () ->
-        let window i =
-          [ E.Round_start { round = 1 };
-            E.Write { node = i; round = 1; bits = 1; board_bits = 1 };
-            E.Run_end { round = 1; outcome = "success" } ]
-        in
-        let inner, events = Obs.Trace.collector () in
-        let tr = Obs.Trace.sample ~every:3 inner in
-        for i = 0 to 6 do
-          List.iter (Obs.Trace.emit tr) (window i)
-        done;
-        Obs.Trace.close tr;
-        (* windows 0, 3 and 6 survive *)
-        check "sampled windows" true (events () = window 0 @ window 3 @ window 6)) ]
+        Alcotest.(check int) "one event" 1 (List.length (events ()))) ]
 
 (* --- metrics registry ------------------------------------------------- *)
 
@@ -506,18 +492,34 @@ let engine_stream_tests =
             evs
         in
         check "skeleton equality" true (Report.events_of_run run = skeleton));
-    Alcotest.test_case "explore emits one Run_end per visited execution" `Quick (fun () ->
+    Alcotest.test_case "explore emits one Run_end per checked execution on the worker rings"
+      `Quick (fun () ->
         let g = G.Gen.random_ktree (Prng.create 5) 5 ~k:2 in
-        let tr, events = Obs.Trace.collector () in
-        let ok, count =
-          Engine.explore_packed_exn ~trace:tr Wb_protocols.Build_forest.protocol g (fun r ->
-              Engine.succeeded r)
-        in
-        check "all succeed" true ok;
-        let ends =
-          List.length (List.filter (function E.Run_end _ -> true | _ -> false) (events ()))
-        in
-        Alcotest.(check int) "run ends" count ends) ]
+        let protocol = Protocol.opaque Wb_protocols.Build_forest.protocol in
+        List.iter
+          (fun jobs ->
+            let shards = Array.init jobs (fun _ -> Obs.Trace.Ring.create ~capacity:65536) in
+            match Engine.verify_packed ~jobs ~shards protocol g Engine.succeeded with
+            | Error _ -> Alcotest.fail "unexpected limit"
+            | Ok v ->
+              let label = Printf.sprintf "jobs=%d" jobs in
+              check (label ^ " all succeed") true v.Engine.valid;
+              Alcotest.(check int) (label ^ " 5!") 120 v.Engine.finals;
+              Array.iter
+                (fun r -> Alcotest.(check int) (label ^ " dropped") 0 (Obs.Trace.Ring.dropped r))
+                shards;
+              let ends =
+                Array.fold_left
+                  (fun acc r ->
+                    acc
+                    + List.length
+                        (List.filter
+                           (function E.Run_end _ -> true | _ -> false)
+                           (Obs.Trace.Ring.to_list r)))
+                  0 shards
+              in
+              Alcotest.(check int) (label ^ " run ends") v.Engine.finals ends)
+          [ 1; 3 ]) ]
 
 (* --- satellite 1: timeline and summary agree on the deadlock round ---- *)
 

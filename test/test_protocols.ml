@@ -18,9 +18,9 @@ let run_valid protocol problem g seed =
   | Engine.Deadlock | Engine.Size_violation _ | Engine.Output_error _ -> false
 
 (* Validate under EVERY adversarial schedule (small n only). *)
-let explore_valid ?limit protocol problem g =
+let explore_valid protocol problem g =
   let ok, _count =
-    Engine.explore_packed_exn ?limit protocol g (fun r ->
+    Exhaustive.every_schedule protocol g (fun r ->
         match r.Engine.outcome with
         | Engine.Success a -> Problems.valid_answer problem g a
         | Engine.Deadlock | Engine.Size_violation _ | Engine.Output_error _ -> false)
@@ -206,7 +206,7 @@ let two_cliques_tests =
     Alcotest.test_case "exhaustive schedules both ways" `Quick (fun () ->
         check "yes instance" true (explore_valid protocol Problems.Two_cliques (G.Gen.two_cliques 3));
         check "no instance" true
-          (explore_valid ~limit:1_000_000 protocol Problems.Two_cliques (G.Gen.near_two_cliques 3)));
+          (explore_valid protocol Problems.Two_cliques (G.Gen.near_two_cliques 3)));
     Alcotest.test_case "the all-R-then-L schedule does not fool the protocol" `Quick (fun () ->
         (* This is the adversarial order that defeats the paper's prose
            version (every node labels 0); the size check catches it. *)
@@ -292,7 +292,7 @@ let bipartite_async_tests =
            corrupted configurations of Section 6. *)
         let g = G.Graph.of_edges 5 [ (0, 1); (0, 2); (1, 2); (1, 3); (3, 4) ] in
         let ok, _ =
-          Engine.explore_packed_exn bip g (fun r -> r.Engine.outcome = Engine.Deadlock)
+          Exhaustive.every_schedule bip g (fun r -> r.Engine.outcome = Engine.Deadlock)
         in
         check "every schedule deadlocks" true ok);
     Alcotest.test_case "exhaustive schedules on even cycles" `Quick (fun () ->

@@ -73,7 +73,7 @@ let thm3_tests =
         let g = G.Gen.complete_bipartite 2 2 in
         let protocol = Triangle_reduction.transform Oracles.triangle_simasync in
         let ok, count =
-          P.Engine.explore_packed_exn protocol g (fun r ->
+          Exhaustive.every_schedule protocol g (fun r ->
               r.P.Engine.outcome = P.Engine.Success (P.Answer.Graph g))
         in
         check "all schedules" true ok;
@@ -144,7 +144,7 @@ let thm8_tests =
         check "eob" true (G.Algo.is_even_odd_bipartite g);
         let protocol = Eob_bfs_reduction.transform Oracles.eob_bfs_simsync in
         let ok, _ =
-          P.Engine.explore_packed_exn protocol g (fun r ->
+          Exhaustive.every_schedule protocol g (fun r ->
               r.P.Engine.outcome = P.Engine.Success (P.Answer.Graph g))
         in
         check "all schedules" true ok) ]

@@ -175,7 +175,7 @@ let registry_explore_tests =
               in
               let problem = e.problem (G.Graph.n g) in
               let ok, _ =
-                Engine.explore_packed_exn e.protocol g (fun r ->
+                Exhaustive.every_schedule e.protocol g (fun r ->
                     match r.Engine.outcome with
                     | Engine.Success a -> Problems.valid_answer problem g a
                     | _ -> false)
@@ -188,11 +188,11 @@ let semantics_regression_tests =
   [ Alcotest.test_case "explore is idempotent (analysis caches invalidate correctly)" `Quick
       (fun () ->
         (* The BFS protocols share a memoised board digest; backtracking
-           exploration must never serve stale sums.  Two identical explores
-           must agree exactly, and so must explore vs single runs. *)
+           exploration must never serve stale sums.  Two identical
+           exhaustive checks must agree exactly. *)
         let g = G.Graph.of_edges 6 [ (0, 1); (0, 2); (1, 2); (1, 3); (3, 4); (0, 5) ] in
         let go () =
-          Engine.explore_packed_exn Wb_protocols.Bfs_sync.protocol g (fun r ->
+          Exhaustive.every_schedule Wb_protocols.Bfs_sync.protocol g (fun r ->
               match r.Engine.outcome with
               | Engine.Success a -> Problems.valid_answer Problems.Bfs g a
               | _ -> false)
@@ -218,7 +218,7 @@ let semantics_regression_tests =
         let g = G.Gen.path 4 in
         let answers = Hashtbl.create 4 in
         let _ =
-          Engine.explore_packed_exn (Wb_protocols.Mis_simsync.protocol ~root:0) g (fun r ->
+          Exhaustive.every_schedule (Wb_protocols.Mis_simsync.protocol ~root:0) g (fun r ->
               (match r.Engine.outcome with
               | Engine.Success (Answer.Node_set s) -> Hashtbl.replace answers (List.sort compare s) ()
               | _ -> ());
