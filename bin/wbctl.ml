@@ -1117,7 +1117,10 @@ let cost_cmd =
     Arg.(
       value & opt string "16,64,256,1024"
       & info [ "sweep" ] ~docv:"N1,N2,.."
-          ~doc:"Comma-separated node counts; two-cliques entries round to the even size below")
+          ~doc:
+            "Comma-separated node counts; two-cliques entries round to the even size below, \
+             and an entry skips the sizes below its smallest instance (k + 1 nodes for a \
+             k-degenerate promise)")
   in
   let cost_seed_arg =
     Arg.(value & opt int 2012 & info [ "seed" ] ~docv:"SEED" ~doc:"Instance-generation seed")

@@ -1,16 +1,24 @@
 module Dynarray = Wb_support.Dynarray
 
+type memo = ..
+
 type t = {
   size : int;
   messages : Message.t Dynarray.t;
   by_author : int array; (* -1 = absent *)
   mutable gen : int;
   mutable total : int; (* running sum of payload bits *)
+  mutable memo : memo option;
 }
 
 let create size =
   if size < 0 then invalid_arg "Board.create";
-  { size; messages = Dynarray.create (); by_author = Array.make size (-1); gen = 0; total = 0 }
+  { size;
+    messages = Dynarray.create ();
+    by_author = Array.make size (-1);
+    gen = 0;
+    total = 0;
+    memo = None }
 
 let n b = b.size
 
@@ -46,6 +54,7 @@ let snapshot_length = length
 
 let truncate b len =
   b.gen <- b.gen + 1;
+  b.memo <- None;
   while length b > len do
     let m = Dynarray.pop b.messages in
     b.by_author.(Message.author m) <- -1;
@@ -53,6 +62,10 @@ let truncate b len =
   done
 
 let generation b = b.gen
+
+let memo b = b.memo
+
+let set_memo b m = b.memo <- Some m
 
 let equal a b =
   a.size = b.size

@@ -41,6 +41,22 @@ val generation : t -> int
 (** Bumped on every [truncate]: lets incremental observers detect that
     previously-read positions may have been rewritten. *)
 
+type memo = ..
+(** A reader's digest of the board, cached on the board itself; the module
+    that computes one extends this type with its own constructor. *)
+
+val memo : t -> memo option
+(** The memo last attached by {!set_memo}, if no {!truncate} came after it. *)
+
+val set_memo : t -> memo -> unit
+(** Attach a memo, replacing any earlier one.  The contract: {!append}
+    keeps the memo, so a reader that records how many positions it has
+    read catches up on the appended ones; {!truncate} drops it, since
+    positions already read may then be rewritten.  {!equal} ignores the
+    memo.  A memo must not refer to its board: the board would then be
+    cyclic, and structural equality on values holding boards (runs,
+    replicas) would not terminate. *)
+
 val total_bits : t -> int
 (** Payload bits of every message on the board; O(1), kept as a running
     total by [append] and [truncate]. *)

@@ -56,11 +56,15 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+let crc32_bytes b off len =
   let table = Atomic.get crc_table in
   let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := (!c lsr 8) lxor table.((!c lxor Char.code ch) land 0xff)) s;
+  for i = off to off + len - 1 do
+    c := (!c lsr 8) lxor table.((!c lxor Char.code (Bytes.get b i)) land 0xff)
+  done;
   !c lxor 0xFFFFFFFF
+
+let crc32 s = crc32_bytes (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* ---- bit-level field codecs ------------------------------------------- *)
 
@@ -274,21 +278,7 @@ let get_payload op r =
 
 (* ---- framing ---------------------------------------------------------- *)
 
-let pack_bits bits =
-  let nbits = Array.length bits in
-  let bytes = Bytes.make ((nbits + 7) / 8) '\000' in
-  Array.iteri
-    (fun i b ->
-      if b then
-        Bytes.set bytes (i / 8)
-          (Char.chr (Char.code (Bytes.get bytes (i / 8)) lor (1 lsl (i mod 8)))))
-    bits;
-  Bytes.unsafe_to_string bytes
-
-let unpack_bits nbits s =
-  Array.init nbits (fun i -> Char.code s.[i / 8] land (1 lsl (i mod 8)) <> 0)
-
-let be32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
+let set_be32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
 
 let read_be32 s off =
   (Char.code s.[off] lsl 24)
@@ -324,6 +314,9 @@ let get_ctx r =
 let prof_encode = Wb_obs.Prof.site "wire.encode"
 let prof_decode = Wb_obs.Prof.site "wire.decode"
 
+(* One buffer per frame: the header, the opcode, the payload bit count and
+   the writer's packed bytes, with the CRC filled in once the body is in
+   place. *)
 let encode_at ~version:v ?ctx frame =
   Wb_obs.Prof.phase prof_encode (fun () ->
   if v = 1 && opcode frame > 10 then
@@ -331,15 +324,19 @@ let encode_at ~version:v ?ctx frame =
   let w = Bitbuf.Writer.create () in
   if v >= 2 then put_ctx w ctx;
   put_payload w frame;
-  let bits = Bitbuf.Writer.contents w in
-  let nbits = Array.length bits in
-  let body =
-    Printf.sprintf "%c%s%s" (Char.chr (opcode frame)) (be32 nbits) (pack_bits bits)
-  in
-  if String.length body > max_frame_bytes then
+  let nbits = Bitbuf.Writer.length_bits w in
+  let body_len = 5 + ((nbits + 7) / 8) in
+  if body_len > max_frame_bytes then
     invalid_arg (Printf.sprintf "Wire.encode: %s frame exceeds %d bytes" (opcode_name frame)
                    max_frame_bytes);
-  String.concat "" [ String.make 1 (Char.chr v); be32 (String.length body); be32 (crc32 body); body ])
+  let b = Bytes.create (header_bytes + body_len) in
+  Bytes.set_uint8 b 0 v;
+  set_be32 b 1 body_len;
+  Bytes.set_uint8 b header_bytes (opcode frame);
+  set_be32 b (header_bytes + 1) nbits;
+  Bitbuf.Writer.blit w b (header_bytes + 5);
+  set_be32 b 5 (crc32_bytes b header_bytes body_len);
+  Bytes.unsafe_to_string b)
 
 let encode ?ctx frame = encode_at ~version ?ctx frame
 let encode_v1 frame = encode_at ~version:1 frame
@@ -356,44 +353,44 @@ let decode_header s =
     end
   end
 
-let decode_body ~version:v ~crc body =
+(* The body is [s] from byte [off] to its end; the payload is read in
+   place, straight from its packed bytes. *)
+let decode_at ~version:v ~crc s off =
   Wb_obs.Prof.phase prof_decode (fun () ->
-  if crc32 body <> crc then Result.Error Crc_mismatch
-  else if String.length body < 5 then Result.Error (Malformed_body "body shorter than opcode header")
+  let body_len = String.length s - off in
+  if crc32_bytes (Bytes.unsafe_of_string s) off body_len <> crc then Result.Error Crc_mismatch
+  else if body_len < 5 then Result.Error (Malformed_body "body shorter than opcode header")
   else begin
-    let op = Char.code body.[0] in
+    let op = Char.code s.[off] in
     if op < 1 || op > max_opcode || (v = 1 && op > 10) then Result.Error (Unknown_opcode op)
     else begin
-      let nbits = read_be32 body 1 in
-      let packed = String.length body - 5 in
+      let nbits = read_be32 s (off + 1) in
+      let packed = body_len - 5 in
       if packed <> (nbits + 7) / 8 then
         Result.Error
           (Malformed_body (Printf.sprintf "declared %d bits but %d packed bytes" nbits packed))
+      (* canonical padding: bits beyond [nbits] in the last byte are zero *)
+      else if nbits mod 8 <> 0 && Char.code s.[String.length s - 1] lsr (nbits mod 8) <> 0 then
+        Result.Error (Malformed_body "nonzero padding bits")
       else begin
-        let bits = unpack_bits nbits (String.sub body 5 packed) in
-        (* canonical padding: bits beyond [nbits] in the last byte are zero *)
-        let padding_clear =
-          nbits mod 8 = 0 || Char.code body.[String.length body - 1] lsr (nbits mod 8) = 0
-        in
-        if not padding_clear then Result.Error (Malformed_body "nonzero padding bits")
-        else begin
-          let r = Bitbuf.Reader.of_bits bits in
-          match
-            let ctx = if v >= 2 then get_ctx r else None in
-            (get_payload op r, ctx)
-          with
-          | frame, ctx ->
-            if Bitbuf.Reader.remaining r <> 0 then
-              Result.Error
-                (Malformed_body (Printf.sprintf "%d trailing bits" (Bitbuf.Reader.remaining r)))
-            else Ok (frame, ctx)
-          | exception Bad msg -> Result.Error (Malformed_body msg)
-          | exception Bitbuf.Reader.Underflow -> Result.Error (Malformed_body "payload underflow")
-          | exception Invalid_argument msg -> Result.Error (Malformed_body msg)
-        end
+        let r = Bitbuf.Reader.of_packed s ~off:(off + 5) ~bits:nbits in
+        match
+          let ctx = if v >= 2 then get_ctx r else None in
+          (get_payload op r, ctx)
+        with
+        | frame, ctx ->
+          if Bitbuf.Reader.remaining r <> 0 then
+            Result.Error
+              (Malformed_body (Printf.sprintf "%d trailing bits" (Bitbuf.Reader.remaining r)))
+          else Ok (frame, ctx)
+        | exception Bad msg -> Result.Error (Malformed_body msg)
+        | exception Bitbuf.Reader.Underflow -> Result.Error (Malformed_body "payload underflow")
+        | exception Invalid_argument msg -> Result.Error (Malformed_body msg)
       end
     end
   end)
+
+let decode_body ~version ~crc body = decode_at ~version ~crc body 0
 
 let decode_ctx s =
   match decode_header s with
@@ -401,7 +398,7 @@ let decode_ctx s =
   | Ok (v, body_len, crc) ->
     let actual = String.length s - header_bytes in
     if actual <> body_len then Result.Error (Length_mismatch { declared = body_len; actual })
-    else decode_body ~version:v ~crc (String.sub s header_bytes body_len)
+    else decode_at ~version:v ~crc s header_bytes
 
 let decode s = Result.map fst (decode_ctx s)
 

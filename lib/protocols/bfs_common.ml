@@ -46,12 +46,10 @@ let message_bound variant ~n =
 module Analysis = struct
   type layer_sums = { mutable sm : int; mutable s0 : int; mutable sp : int }
 
+  (* Holds no reference to its board (see [Board.set_memo]). *)
   type t = {
     variant : variant;
-    board : P.Board.t;
-    entry_list : entry Wb_support.Dynarray.t;
     mutable parsed : int;  (** board positions parsed so far. *)
-    mutable board_gen : int;
     mutable invalid_count : int;
     layer_by_id : int array;  (** by paper id; -1 unknown. *)
     written_by_index : bool array;
@@ -59,15 +57,14 @@ module Analysis = struct
     mutable last_normal : (int * int) option;
   }
 
-  let fresh variant board =
+  type P.Board.memo += Memo of t
+
+  let fresh variant n =
     { variant;
-      board;
-      entry_list = Wb_support.Dynarray.create ();
       parsed = 0;
-      board_gen = P.Board.generation board;
       invalid_count = 0;
-      layer_by_id = Array.make (P.Board.n board + 1) (-1);
-      written_by_index = Array.make (P.Board.n board) false;
+      layer_by_id = Array.make (n + 1) (-1);
+      written_by_index = Array.make n false;
       comp_sums = Hashtbl.create 8;
       last_normal = None }
 
@@ -79,9 +76,7 @@ module Analysis = struct
       Hashtbl.replace t.comp_sums layer s;
       s
 
-  let absorb t e =
-    Wb_support.Dynarray.push t.entry_list e;
-    (match e with
+  let absorb t = function
     | Invalid id ->
       t.invalid_count <- t.invalid_count + 1;
       t.written_by_index.(id - 1) <- true
@@ -93,41 +88,30 @@ module Analysis = struct
       let s = sums_for t layer in
       s.sm <- s.sm + dm;
       s.s0 <- s.s0 + d0;
-      s.sp <- s.sp + dp)
+      s.sp <- s.sp + dp
 
-  let catch_up t =
-    let len = P.Board.length t.board in
+  let catch_up t board =
+    let len = P.Board.length board in
     for i = t.parsed to len - 1 do
-      absorb t (parse_message t.variant (P.Board.get t.board i))
+      absorb t (parse_message t.variant (P.Board.get board i))
     done;
     t.parsed <- len
 
-  (* One live digest per (board, variant) and per domain — domain-local so
-     parallel exploration workers never share a digest; a shrunken board
-     (exhaustive exploration backtracked) forces a rebuild. *)
-  let cache : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
   let get variant board =
-    let cache = Domain.DLS.get cache in
-    let current =
-      match !cache with
-      | Some t
-        when t.board == board && variant_equal t.variant variant
-             && t.board_gen = P.Board.generation board
-             && t.parsed <= P.Board.length board -> t
+    let t =
+      match P.Board.memo board with
+      | Some (Memo t) when variant_equal t.variant variant -> t
       | Some _ | None ->
-        let t = fresh variant board in
-        cache := Some t;
+        let t = fresh variant (P.Board.n board) in
+        P.Board.set_memo board (Memo t);
         t
     in
-    catch_up current;
-    current
+    catch_up t board;
+    t
 
   let invalid_seen t = t.invalid_count > 0
 
   let layer_of t ~paper_id = if t.layer_by_id.(paper_id) < 0 then None else Some t.layer_by_id.(paper_id)
-
-  let written t v = t.written_by_index.(v)
 
   let sums_view t layer =
     match Hashtbl.find_opt t.comp_sums layer with
@@ -151,8 +135,6 @@ module Analysis = struct
     let n = Array.length t.written_by_index in
     let rec go v = if v >= n then None else if t.written_by_index.(v) then go (v + 1) else Some v in
     go 0
-
-  let entries t = Wb_support.Dynarray.to_list t.entry_list
 end
 
 let locally_invalid view =

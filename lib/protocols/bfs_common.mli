@@ -31,17 +31,17 @@ val write_entry : variant -> entry -> Wb_support.Bitbuf.Writer.t
 val parse_message : variant -> Wb_model.Message.t -> entry
 val message_bound : variant -> n:int -> int
 
-(** Incrementally maintained digest of the board (memoised on the board's
-    identity, so repeated queries per round stay cheap). *)
+(** Incrementally maintained digest of the board, memoised on the board's
+    identity through {!Wb_model.Board.set_memo}: each board (the engine's,
+    and every client replica of a networked session) keeps its own digest,
+    repeated queries per round only parse the messages appended since the
+    last one, and a truncation makes the next query rebuild it. *)
 module Analysis : sig
   type t
 
   val get : variant -> Wb_model.Board.t -> t
   val invalid_seen : t -> bool
   val layer_of : t -> paper_id:int -> int option
-  val written : t -> int -> bool
-  (** By node index. *)
-
   val complete : t -> int -> bool
   (** Layer [k] of the current component has fully written (edge-count
       certificate); [true] for [k <= 0]. *)
@@ -54,9 +54,6 @@ module Analysis : sig
 
   val min_unwritten : t -> int option
   (** Smallest node index that has not written. *)
-
-  val entries : t -> entry list
-  (** In write order. *)
 end
 
 val locally_invalid : Wb_model.View.t -> bool

@@ -81,6 +81,13 @@ let satisfies_promise promise g =
     let n = Wb_graph.Graph.n g in
     n > 0 && n mod 2 = 0 && Wb_graph.Graph.is_regular g = Some ((n / 2) - 1)
 
+let least_n e =
+  match e.promise with
+  | Degeneracy_at_most k -> k + 1 (* the smallest k-tree *)
+  | Regular_two_half -> 2
+  | Forest -> 1
+  | Any_graph | Split_degeneracy_at_most _ | Even_odd_bipartite | Bipartite -> 0
+
 let sweep_graph e ~seed ~n =
   let module Gen = Wb_graph.Gen in
   let rng () = Wb_support.Prng.create seed in

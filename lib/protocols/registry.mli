@@ -26,6 +26,12 @@ val all : unit -> entry list
 val find : string -> entry option
 val satisfies_promise : promise -> Wb_graph.Graph.t -> bool
 
+val least_n : entry -> int
+(** The smallest [n] for which {!sweep_graph} builds an instance: [k + 1]
+    for a k-degenerate promise (the smallest k-tree), 2 for the 2-CLIQUES
+    promise, 1 for forests, 0 otherwise. *)
+
 val sweep_graph : entry -> seed:int -> n:int -> Wb_graph.Graph.t
 (** A promise-satisfying [n]-node instance for cost sweeps, deterministic in
-    [seed].  [Regular_two_half] entries get [2 * (n / 2)] nodes. *)
+    [seed].  [Regular_two_half] entries get [2 * (n / 2)] nodes.
+    @raise Invalid_argument if [n < least_n e]. *)

@@ -50,22 +50,33 @@ module Writer = struct
     delta w (v + 1)
 
   let contents w = Array.init w.len (fun i -> Char.code (Bytes.get w.bits (i / 8)) land (1 lsl (i mod 8)) <> 0)
+
+  let blit w dst pos = Bytes.blit w.bits 0 dst pos ((w.len + 7) / 8)
 end
 
 module Reader = struct
   exception Underflow
 
-  type t = { data : bool array; mutable pos : int }
+  type source = Bools of bool array | Packed of { bytes : string; off : int }
 
-  let of_bits data = { data; pos = 0 }
+  type t = { source : source; limit : int; mutable pos : int }
 
-  let remaining r = Array.length r.data - r.pos
+  let of_bits data = { source = Bools data; limit = Array.length data; pos = 0 }
+
+  let of_packed bytes ~off ~bits =
+    if off < 0 || bits < 0 || off + ((bits + 7) / 8) > String.length bytes then
+      invalid_arg "Bitbuf.Reader.of_packed";
+    { source = Packed { bytes; off }; limit = bits; pos = 0 }
+
+  let remaining r = r.limit - r.pos
 
   let bit r =
-    if r.pos >= Array.length r.data then raise Underflow;
-    let b = r.data.(r.pos) in
-    r.pos <- r.pos + 1;
-    b
+    let i = r.pos in
+    if i >= r.limit then raise Underflow;
+    r.pos <- i + 1;
+    match r.source with
+    | Bools data -> data.(i)
+    | Packed { bytes; off } -> Char.code bytes.[off + (i lsr 3)] land (1 lsl (i land 7)) <> 0
 
   let fixed r ~width =
     let v = ref 0 in

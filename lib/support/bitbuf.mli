@@ -31,12 +31,24 @@ module Writer : sig
 
   val contents : t -> bool array
   (** Snapshot of the bits written so far. *)
+
+  val blit : t -> Bytes.t -> int -> unit
+  (** [blit w dst pos] copies the bits written so far, packed, into the
+      [(length_bits w + 7) / 8] bytes of [dst] from [pos]: bit [i] is bit
+      [i mod 8] (least significant first) of byte [pos + i / 8], and the
+      padding bits of the last byte are zero — the layout
+      {!Reader.of_packed} reads. *)
 end
 
 module Reader : sig
   type t
 
   val of_bits : bool array -> t
+
+  val of_packed : string -> off:int -> bits:int -> t
+  (** [of_packed s ~off ~bits] reads [bits] bits packed into [s] from byte
+      [off] in {!Writer.blit}'s layout, without copying them.
+      @raise Invalid_argument if those bytes are not all in [s]. *)
 
   val remaining : t -> int
   val bit : t -> bool

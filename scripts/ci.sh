@@ -34,9 +34,21 @@ dune build @check-prof --force
 # same-seed byte-determinism of the cost table.
 dune build @check-cost --force
 
+# The benchmark's own output checks, beyond the selftest's warm-up ops at
+# seeds 1 and 2: a short traced run of each workload at seed 3 must report
+# "correct": true and no failed op.
+for w in run verify session; do
+  python3 perfbench/run.py --workload "$w" --seed 3 --seconds 1 --trace 1 \
+    | tail -n 1 \
+    | python3 -c 'import json, sys
+d = json.load(sys.stdin)
+if d["correct"] is not True or d["failed"] != 0:
+    sys.exit("perfbench %s: correct=%s failed=%s" % (sys.argv[1], d["correct"], d["failed"]))' "$w"
+done
+
 # Seeded mutants: every patch under test/mutants/ must make the suite it
 # names fail on a copy of the tree, and that suite must pass unpatched —
-# proof that the spec oracle for Engine.verify can fail.
+# proof that the spec oracle for Engine.verify and the wire suites can fail.
 sh scripts/mutants.sh
 
 # The chaos referee: deterministic fault-injection campaigns — a pinned

@@ -344,9 +344,10 @@ let memo_output (module P : Protocol.S) : Protocol.t =
   end)
 
 (* The registry's promise instances, at every n the spec enumerates
-   quickly: the sketch entries decode slowly, so they stop at n = 5, and a
-   k-degenerate entry starts at n = k + 1, the smallest k-tree.  That is
-   71 instances of the 20 entries. *)
+   quickly: the sketch entries decode slowly, so they stop at n = 5, and an
+   entry starts at n = 3 or at its least size, whichever is larger (n = k + 1
+   for a k-degenerate entry, the smallest k-tree).  That is 71 instances of
+   the 20 entries. *)
 let oracle_seed = 2012
 
 let oracle_instances = 71
@@ -355,9 +356,7 @@ let registry_instances =
   lazy
     (List.concat_map
        (fun (e : Wb_protocols.Registry.entry) ->
-         let smallest =
-           match e.promise with Wb_protocols.Registry.Degeneracy_at_most k -> k + 1 | _ -> 3
-         in
+         let smallest = max 3 (Wb_protocols.Registry.least_n e) in
          let largest = if String.ends_with ~suffix:"-sketch" e.key then 5 else 6 in
          List.filter_map
            (fun n ->

@@ -23,39 +23,6 @@ let bound_of protocol ~n =
 
 (* --- wire codec: unit round-trips and crafted corruptions -------------- *)
 
-let sample_frames =
-  [ Wire.Hello { session = "main"; protocol = "bfs"; node_pref = None };
-    Wire.Hello { session = ""; protocol = "x"; node_pref = Some 0 };
-    Wire.Hello { session = "s\000binary\255"; protocol = "two-cliques"; node_pref = Some 41 };
-    Wire.Hello_ack { session = "main"; node = 3; n = 16; neighbors = [| 0; 7; 15 |]; bound = 37 };
-    Wire.Hello_ack { session = "m"; node = 0; n = 1; neighbors = [||]; bound = 0 };
-    Wire.Activate_query { round = 1 };
-    Wire.Activate_reply { round = 12; activate = true };
-    Wire.Activate_reply { round = 1; activate = false };
-    Wire.Compose_request { round = 40 };
-    Wire.Compose_reply { round = 2; payload = [||] };
-    Wire.Compose_reply { round = 7; payload = [| true; false; true; true |] };
-    Wire.Write_grant { round = 3; position = 0 };
-    Wire.Board_delta { from_pos = 0; generation = 0; messages = [] };
-    Wire.Board_delta
-      { from_pos = 2;
-        generation = 5;
-        messages = [ (0, [| true |]); (9, [||]); (3, Array.make 19 false) ] };
-    Wire.Run_end { outcome = "success"; detail = "forest[0;1]"; rounds = 9 };
-    Wire.Run_end { outcome = "deadlock"; detail = ""; rounds = 40 };
-    Wire.Error { code = Wire.Node_taken; detail = "node 3 already claimed" };
-    Wire.Error { code = Wire.Server_error; detail = "" };
-    Wire.Telemetry_request { tail = 0 };
-    Wire.Telemetry_request { tail = 4096 };
-    Wire.Telemetry_reply { metrics = "{}"; events = []; dropped = 0 };
-    Wire.Telemetry_reply
-      { metrics = "{\"counters\":{\"engine.runs\":3}}";
-        events = [ "{\"ev\":\"round_start\",\"round\":1}"; "" ];
-        dropped = 12 };
-    Wire.Metrics_request;
-    Wire.Metrics_reply { body = "" };
-    Wire.Metrics_reply { body = "# TYPE x counter\nx_total 1\n# EOF\n" } ]
-
 let be32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
 
 let read_be32 s off =
@@ -84,7 +51,7 @@ let wire_tests =
             | Ok f' ->
               check (Format.asprintf "%a" Wire.pp f) true (f' = f)
             | Error e -> Alcotest.failf "decode failed: %s" (Wire.error_to_string e))
-          sample_frames);
+          Wire_frames.samples);
     Alcotest.test_case "header corruptions yield the right typed errors" `Quick (fun () ->
         let s = Wire.encode (Wire.Activate_query { round = 7 }) in
         expect_error "short" (String.sub s 0 5) (function Wire.Short_frame 5 -> true | _ -> false);
@@ -130,7 +97,7 @@ let wire_tests =
             (fun f ->
               let s = Wire.encode f in
               read_be32 s (Wire.header_bytes + 1) mod 8 <> 0)
-            sample_frames
+            Wire_frames.samples
         in
         let s = Wire.encode frame in
         let body = Bytes.of_string (String.sub s Wire.header_bytes (String.length s - Wire.header_bytes)) in
@@ -157,43 +124,12 @@ let wire_tests =
 
 (* --- wire codec: properties -------------------------------------------- *)
 
-let gen_frame =
-  let open QCheck.Gen in
-  let nat = frequency [ (6, 0 -- 60); (1, return 0); (1, 1000 -- 2_000_000) ] in
-  let str = string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 12) in
-  let bits = map Array.of_list (list_size (0 -- 48) bool) in
-  let code =
-    oneofl
-      [ Wire.Bad_hello; Wire.Unknown_protocol; Wire.Protocol_mismatch; Wire.Session_busy;
-        Wire.Node_taken; Wire.Unexpected_frame; Wire.Malformed; Wire.Timed_out;
-        Wire.Server_error ]
-  in
-  oneof
-    [ (str >>= fun session -> str >>= fun protocol -> opt nat >>= fun node_pref ->
-       return (Wire.Hello { session; protocol; node_pref }));
-      (str >>= fun session -> nat >>= fun node -> nat >>= fun n ->
-       list_size (0 -- 8) nat >>= fun neighbors -> nat >>= fun bound ->
-       return (Wire.Hello_ack { session; node; n; neighbors = Array.of_list neighbors; bound }));
-      (nat >>= fun round -> return (Wire.Activate_query { round }));
-      (nat >>= fun round -> bool >>= fun activate -> return (Wire.Activate_reply { round; activate }));
-      (nat >>= fun round -> return (Wire.Compose_request { round }));
-      (nat >>= fun round -> bits >>= fun payload -> return (Wire.Compose_reply { round; payload }));
-      (nat >>= fun round -> nat >>= fun position -> return (Wire.Write_grant { round; position }));
-      (nat >>= fun from_pos -> nat >>= fun generation ->
-       list_size (0 -- 6) (nat >>= fun a -> bits >>= fun p -> return (a, p)) >>= fun messages ->
-       return (Wire.Board_delta { from_pos; generation; messages }));
-      (str >>= fun outcome -> str >>= fun detail -> nat >>= fun rounds ->
-       return (Wire.Run_end { outcome; detail; rounds }));
-      return Wire.Metrics_request;
-      (str >>= fun body -> return (Wire.Metrics_reply { body }));
-      (code >>= fun code -> str >>= fun detail -> return (Wire.Error { code; detail })) ]
-
-let frame_arb = QCheck.make ~print:(Format.asprintf "%a" Wire.pp) gen_frame
+let frame_arb = QCheck.make ~print:(Format.asprintf "%a" Wire.pp) Wire_frames.gen_frame
 
 let frame_and_index =
   QCheck.make
     ~print:(fun (f, i) -> Printf.sprintf "%s @ %d" (Format.asprintf "%a" Wire.pp f) i)
-    QCheck.Gen.(pair gen_frame (0 -- 100_000))
+    QCheck.Gen.(pair Wire_frames.gen_frame (0 -- 100_000))
 
 let flip_bit s i =
   let b = Bytes.of_string s in
@@ -241,7 +177,7 @@ let wire_prop_tests =
                 (String.concat ";"
                    (List.map (fun (i, m) -> Printf.sprintf "%d^%d" i m) flips)))
             QCheck.Gen.(
-              pair gen_frame (list_size (1 -- 6) (pair (0 -- 100_000) (1 -- 255)))))
+              pair Wire_frames.gen_frame (list_size (1 -- 6) (pair (0 -- 100_000) (1 -- 255)))))
          (fun (f, flips) ->
            let s = Wire.encode f in
            let b = Bytes.of_string s in
@@ -309,18 +245,12 @@ let wire_pinned_tests =
 
 (* --- wire codec: the version-2 trace-context prelude -------------------- *)
 
-let gen_ctx =
-  QCheck.Gen.(
-    map2
-      (fun trace span -> { Obs.Span.trace = 1 + trace; span = 1 + span })
-      (0 -- 0xFF_FFFF) (0 -- 0xFF_FFFF))
-
 let frame_and_ctx =
   QCheck.make
     ~print:(fun (f, ctx) ->
       Printf.sprintf "%s ctx{trace=%d; span=%d}" (Format.asprintf "%a" Wire.pp f)
         ctx.Obs.Span.trace ctx.Obs.Span.span)
-    QCheck.Gen.(pair gen_frame gen_ctx)
+    QCheck.Gen.(pair Wire_frames.gen_frame Wire_frames.gen_ctx)
 
 let ctx_tests =
   [ qtest
@@ -346,7 +276,7 @@ let ctx_tests =
             ~print:(fun ((f, ctx), i) ->
               Printf.sprintf "%s ctx{%d;%d} @ %d" (Format.asprintf "%a" Wire.pp f)
                 ctx.Obs.Span.trace ctx.Obs.Span.span i)
-            QCheck.Gen.(pair (pair gen_frame gen_ctx) (0 -- 100_000)))
+            QCheck.Gen.(pair (pair Wire_frames.gen_frame Wire_frames.gen_ctx) (0 -- 100_000)))
          (fun ((f, ctx), i) ->
            let s = Wire.encode ~ctx f in
            match Wire.decode_ctx (String.sub s 0 (i mod String.length s)) with
@@ -520,6 +450,38 @@ let loopback_tests =
         Alcotest.(check int) "one more session" (before_s + 1)
           (Obs.Metrics.counter_value sessions);
         check "frames were counted" true (Obs.Metrics.counter_value frames > before_f)) ]
+
+(* --- linearity: a session's cost per RPC does not grow with n ---------- *)
+
+(* Minor words allocated per RPC (activation and compose queries) by one
+   untraced loopback session of SYNC BFS under min-id on a side x side
+   grid.  Deterministic, like kernel.linearity's count: the same code
+   allocates the same words on every run. *)
+let words_per_rpc side =
+  let entry = Option.get (R.find "bfs") in
+  let g = G.Gen.grid side side in
+  let rpcs () =
+    Obs.Metrics.histogram_count (Obs.Metrics.histogram "net.rpc.activate_us")
+    + Obs.Metrics.histogram_count (Obs.Metrics.histogram "net.rpc.compose_us")
+  in
+  let rpcs0 = rpcs () in
+  let before = Gc.minor_words () in
+  let r = Net.Remote.run_loopback ~protocol:entry.R.protocol g Adversary.min_id in
+  let words = Gc.minor_words () -. before in
+  check "session succeeds" true (Engine.succeeded r.Net.Session.run && r.Net.Session.faults = []);
+  words /. float_of_int (rpcs () - rpcs0)
+
+let linearity_tests =
+  [ Alcotest.test_case "a loopback session allocates O(1) words per RPC" `Quick (fun () ->
+        let prof = Obs.Prof.is_enabled () in
+        Obs.Prof.disable ();
+        Fun.protect
+          ~finally:(fun () -> if prof then Obs.Prof.enable ())
+          (fun () ->
+            let small = words_per_rpc 10 and large = words_per_rpc 20 in
+            if large > 1.1 *. small || large > 600. || small > 600. then
+              Alcotest.failf "%.0f words/RPC on the 10x10 grid, %.0f on the 20x20 grid" small
+                large)) ]
 
 (* --- failure semantics: dead nodes starve the run into a deadlock ------ *)
 
@@ -963,6 +925,7 @@ let suites =
     ("net.wire-ctx", ctx_tests);
     ("net.board", board_tests);
     ("net.loopback", loopback_tests);
+    ("net.linearity", linearity_tests);
     ("net.faults", fault_tests);
     ("net.socket", socket_tests);
     ("net.telemetry", telemetry_tests) ]

@@ -185,8 +185,15 @@ let bitbuf_tests =
          (fun vals ->
            let w = Bitbuf.Writer.create () in
            List.iter (Bitbuf.Writer.nat w) vals;
-           let r = Bitbuf.Reader.of_bits (Bitbuf.Writer.contents w) in
-           List.for_all (fun v -> Bitbuf.Reader.nat r = v) vals && Bitbuf.Reader.remaining r = 0));
+           (* read back unpacked, and packed behind three bytes of junk *)
+           let bits = Bitbuf.Writer.length_bits w in
+           let packed = Bytes.make (3 + ((bits + 7) / 8)) '\255' in
+           Bitbuf.Writer.blit w packed 3;
+           List.for_all
+             (fun r ->
+               List.for_all (fun v -> Bitbuf.Reader.nat r = v) vals && Bitbuf.Reader.remaining r = 0)
+             [ Bitbuf.Reader.of_bits (Bitbuf.Writer.contents w);
+               Bitbuf.Reader.of_packed (Bytes.to_string packed) ~off:3 ~bits ]));
     qtest
       (QCheck.Test.make ~name:"fixed roundtrip" ~count:300
          QCheck.(pair (int_range 0 62) (int_range 0 max_int))
