@@ -4,20 +4,24 @@
      models                         print Table 1
      protocols                      list registered protocols
      run                            run one protocol on a generated graph
-     trace                          run with full telemetry (JSONL + Chrome trace + metrics)
      explore                        exhaustively check all schedules
      serve                          host a networked referee (wb_net server)
      join                           speak for one node of a remote session
      remote-run                     server + n clients in one process (loopback or sockets)
      chaos                          seeded fault-injection campaigns with crash-replay checks
-     top                            live metrics from a running referee (TELEMETRY RPC)
+     top                            a running referee's metrics and flight recorder
      synth                          minimal-alphabet synthesis at tiny n
      counting                       Lemma 3 information floors
      graph                          generate a graph and print it (graph6)
 
+   Instruments are one flag each, with one meaning on every command that
+   offers it: --events FILE (the event stream as JSONL), --chrome FILE (a
+   Chrome trace), --metrics FILE (the registry, repeatable) and --profile.
+
    Exit codes: 0 success, 1 usage/setup error, 2 the execution failed
-   (deadlock, size violation, output error, or a failed differential
-   check) — so scripts can branch on the outcome. *)
+   (deadlock, size violation, output error, an invalid answer, a false
+   verdict, or a failed differential check) — so scripts can branch on the
+   outcome. *)
 
 open Cmdliner
 module P = Wb_model
@@ -139,7 +143,7 @@ let protocols_cmd =
   Cmd.v (Cmd.info "protocols" ~doc:"List registered protocols") Term.(const run $ costs_arg)
 
 (* Prints the run and returns the process exit code: unsuccessful outcomes
-   exit 2 so scripting against the CLI is sound. *)
+   and invalid answers exit 2 so scripting against the CLI is sound. *)
 let print_run g problem (run : P.Engine.run) =
   Printf.printf "rounds: %d   max message: %d bits   board total: %d bits\n"
     run.P.Engine.stats.rounds run.P.Engine.stats.max_message_bits run.P.Engine.stats.total_bits;
@@ -148,8 +152,9 @@ let print_run g problem (run : P.Engine.run) =
   match run.P.Engine.outcome with
   | P.Engine.Success a ->
     Format.printf "answer: %a@." P.Answer.pp a;
-    Printf.printf "valid: %b\n" (P.Problems.valid_answer problem g a);
-    0
+    let valid = P.Problems.valid_answer problem g a in
+    Printf.printf "valid: %b\n" valid;
+    if valid then 0 else 2
   | P.Engine.Deadlock ->
     print_endline "outcome: DEADLOCK (corrupted final configuration)";
     2
@@ -160,21 +165,32 @@ let print_run g problem (run : P.Engine.run) =
     Printf.printf "outcome: OUTPUT ERROR %s\n" e;
     2
 
-let trace_arg =
-  Arg.(value & flag & info [ "trace" ] ~doc:"Print the round-by-round execution timeline")
+(* ---- instruments: one flag each, one meaning on every command ------- *)
 
-let metrics_json_arg =
+let events_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "metrics-json" ] ~docv:"FILE" ~doc:"Dump the metrics registry snapshot to $(docv)")
+    & info [ "events" ] ~docv:"FILE" ~doc:"Write the event stream to $(docv) as JSONL, one event per line")
 
-let metrics_om_arg =
+let chrome_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "metrics-openmetrics" ] ~docv:"FILE"
-        ~doc:"Dump the metrics registry in OpenMetrics text form to $(docv)")
+    & info [ "chrome" ] ~docv:"FILE"
+        ~doc:
+          "Write a Chrome trace_event file to $(docv) (open in about:tracing or Perfetto): one run \
+           on its logical round axis, or the merged per-process or per-domain shards of a \
+           networked run or a parallel exploration")
+
+let metrics_arg =
+  Arg.(
+    value
+    & opt_all string []
+    & info [ "metrics" ] ~docv:"FILE"
+        ~doc:
+          "Dump the metrics registry to $(docv) when the command ends: the JSON envelope for a \
+           .json name, OpenMetrics text for any other.  Repeatable")
 
 let profile_arg =
   Arg.(
@@ -204,32 +220,29 @@ let exit_on_failure f =
     Printf.eprintf "wbctl: %s\n" msg;
     exit 1
 
-let write_metrics_json = function
-  | None -> ()
-  | Some file ->
-    let oc = open_out_or_die file in
-    Obs.Json.to_channel oc (Obs.Metrics.dump_json ());
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "metrics snapshot: %s\n" file
+let write_metrics files =
+  List.iter
+    (fun file ->
+      let oc = open_out_or_die file in
+      if Filename.check_suffix file ".json" then begin
+        Obs.Json.to_channel oc (Obs.Metrics.dump_json ());
+        output_char oc '\n'
+      end
+      else output_string oc (Obs.Metrics.dump_openmetrics ());
+      close_out oc;
+      Printf.printf "metrics: %s\n" file)
+    files
 
-let write_metrics_openmetrics = function
-  | None -> ()
-  | Some file ->
-    let oc = open_out_or_die file in
-    output_string oc (Obs.Metrics.dump_openmetrics ());
-    close_out oc;
-    Printf.printf "openmetrics snapshot: %s\n" file
+let write_lines file lines =
+  let oc = open_out_or_die file in
+  List.iter
+    (fun line ->
+      output_string oc line;
+      output_char oc '\n')
+    lines;
+  close_out oc
 
 (* ---- telemetry over the wire (TELEMETRY RPC) -------------------------- *)
-
-let parse_host_port s =
-  match String.rindex_opt s ':' with
-  | Some i when i > 0 -> (
-    match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-    | Some port -> Some (String.sub s 0 i, port)
-    | None -> None)
-  | _ -> None
 
 let die msg =
   Printf.eprintf "wbctl: %s\n" msg;
@@ -325,13 +338,7 @@ let write_flight ~tail file events =
   let events =
     if total > tail then List.filteri (fun i _ -> i >= total - tail) events else events
   in
-  let oc = open_out_or_die file in
-  List.iter
-    (fun ev ->
-      Obs.Json.to_channel oc (Obs.Event.to_json ev);
-      output_char oc '\n')
-    events;
-  close_out oc;
+  write_lines file (List.map (fun ev -> Obs.Json.to_string (Obs.Event.to_json ev)) events);
   Printf.printf "flight recorder: %s (last %d of %d referee events)\n" file (List.length events)
     total
 
@@ -346,7 +353,13 @@ let with_entry key f =
   | Some e -> f e
 
 let run_cmd =
-  let run key family n p seed adv trace metrics_json metrics_om profile =
+  let timeline_arg =
+    Arg.(
+      value & flag
+      & info [ "timeline" ]
+          ~doc:"Print the run's summary and its round-by-round timeline, rendered from its events")
+  in
+  let run key family n p seed adv timeline events chrome metrics profile =
     apply_profile profile;
     with_entry key (fun e ->
         let g = make_graph ~family ~n ~p ~seed in
@@ -355,134 +368,42 @@ let run_cmd =
         if not (Wb_protocols.Registry.satisfies_promise e.promise g) then
           print_endline "warning: instance violates the protocol's promise class";
         let adversary = make_adversary adv g seed in
-        let sink, events = Obs.Trace.collector () in
-        let result =
-          P.Engine.run_packed ?trace:(if trace then Some sink else None) e.protocol g adversary
+        (* Only the instruments asked for are attached; with none, the
+           kernel constructs no event at all. *)
+        let events_oc = Option.map open_out_or_die events in
+        let chrome_oc = Option.map open_out_or_die chrome in
+        let collector, collected = Obs.Trace.collector () in
+        let sinks =
+          List.filter_map Fun.id
+            [ (if timeline then Some collector else None);
+              Option.map Obs.Trace.jsonl_writer events_oc;
+              Option.map Obs.Chrome.writer chrome_oc ]
         in
-        if trace then begin
+        let trace = if List.is_empty sinks then None else Some (Obs.Trace.tee sinks) in
+        let result = P.Engine.run_packed ?trace e.protocol g adversary in
+        Option.iter Obs.Trace.close trace;
+        Option.iter close_out events_oc;
+        Option.iter close_out chrome_oc;
+        if timeline then begin
           print_string (P.Report.summary result);
           print_newline ();
-          print_string (P.Report.timeline_of_events ~n:(G.Graph.n g) (events ()))
+          print_string (P.Report.timeline_of_events ~n:(G.Graph.n g) (collected ()))
         end;
         let code = print_run g (e.problem (G.Graph.n g)) result in
-        write_metrics_json metrics_json;
-        write_metrics_openmetrics metrics_om;
+        Option.iter (Printf.printf "events: %s\n") events;
+        Option.iter (Printf.printf "chrome trace: %s\n") chrome;
+        write_metrics metrics;
         if code <> 0 then exit code)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a protocol on a generated graph")
     Term.(
-      const run $ key_arg $ family_arg $ n_arg $ p_arg $ seed_arg $ adversary_arg $ trace_arg
-      $ metrics_json_arg $ metrics_om_arg $ profile_arg)
+      const run $ key_arg $ family_arg $ n_arg $ p_arg $ seed_arg $ adversary_arg $ timeline_arg
+      $ events_arg $ chrome_arg $ metrics_arg $ profile_arg)
 
-(* Span endpoints carry wall-clock timestamps, but the JSONL artifacts
-   promise byte-determinism at a fixed seed — so they keep the classic
-   event stream only.  Spans still reach the Chrome artifacts, which render
-   them on the deterministic round axis (single-run) or as an explicitly
-   wall-clock merge. *)
-let classic_only sink =
-  Obs.Trace.of_fn
-    ~close:(fun () -> Obs.Trace.close sink)
-    (function
-      | Obs.Event.Span_start _ | Obs.Event.Span_stop _ -> ()
-      | ev -> Obs.Trace.emit sink ev)
-
-let trace_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "trace.jsonl"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"JSONL event stream destination")
-  in
-  let chrome_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome" ] ~docv:"FILE"
-          ~doc:"Also write a Chrome trace_event file (open in about:tracing or Perfetto)")
-  in
-  let remote_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "remote" ] ~docv:"HOST:PORT"
-          ~doc:
-            "Instead of running locally, fetch a running referee's flight-recorder tail over \
-             the TELEMETRY RPC and write it as JSONL to --out (no PROTOCOL needed)")
-  in
-  let tail_arg =
-    Arg.(
-      value & opt int 4096
-      & info [ "tail" ] ~docv:"K" ~doc:"With --remote: request the last $(docv) events")
-  in
-  let key_opt_arg =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"PROTOCOL" ~doc:"Registry key")
-  in
-  let run_remote ~out ~tail spec =
-    match parse_host_port spec with
-    | None -> die (Printf.sprintf "--remote wants HOST:PORT, got %s" spec)
-    | Some (host, port) ->
-      let metrics, events, dropped =
-        probe ~host ~port ~timeout:5.0 (Net.Wire.Telemetry_request { tail }) (function
-          | Net.Wire.Telemetry_reply { metrics; events; dropped } -> Some (metrics, events, dropped)
-          | _ -> None)
-      in
-      let oc = open_out_or_die out in
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        events;
-      close_out oc;
-      Printf.printf "remote flight recorder: %d events -> %s (%d dropped or withheld)\n\n"
-        (List.length events) out dropped;
-      print_telemetry metrics
-  in
-  let run_local key family n p seed adv out chrome metrics_json =
-    with_entry key (fun e ->
-        let g = make_graph ~family ~n ~p ~seed in
-        Printf.printf "graph: %s on %d nodes, %d edges (seed %d)\n" family (G.Graph.n g)
-          (G.Graph.num_edges g) seed;
-        if not (Wb_protocols.Registry.satisfies_promise e.promise g) then
-          print_endline "warning: instance violates the protocol's promise class";
-        let adversary = make_adversary adv g seed in
-        let jsonl_oc = open_out_or_die out in
-        let chrome_oc = Option.map open_out_or_die chrome in
-        let collector, events = Obs.Trace.collector () in
-        let sinks =
-          [ classic_only (Obs.Trace.tee [ Obs.Trace.jsonl_writer jsonl_oc; collector ]) ]
-          @ (match chrome_oc with Some oc -> [ Obs.Chrome.writer oc ] | None -> [])
-        in
-        let sink = Obs.Trace.tee sinks in
-        let result = P.Engine.run_packed ~trace:sink e.protocol g adversary in
-        Obs.Trace.close sink;
-        close_out jsonl_oc;
-        Option.iter close_out chrome_oc;
-        print_string (P.Report.summary result);
-        print_newline ();
-        print_string (P.Report.timeline_of_events ~n:(G.Graph.n g) (events ()));
-        let code = print_run g (e.problem (G.Graph.n g)) result in
-        Printf.printf "\nevents: %d -> %s%s\n" (List.length (events ())) out
-          (match chrome with Some f -> "  (chrome: " ^ f ^ ")" | None -> "");
-        Format.printf "@.%a" Obs.Metrics.pp_table ();
-        write_metrics_json metrics_json;
-        if code <> 0 then exit code)
-  in
-  let run key family n p seed adv out chrome metrics_json remote tail =
-    match (remote, key) with
-    | Some spec, _ -> run_remote ~out ~tail spec
-    | None, Some key -> run_local key family n p seed adv out chrome metrics_json
-    | None, None ->
-      prerr_endline "wbctl: a PROTOCOL argument is required unless --remote is given";
-      exit 1
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run a protocol with full telemetry: JSONL event stream, optional Chrome trace, metrics \
-          table — or, with --remote, pull a live referee's flight recorder")
-    Term.(
-      const run $ key_opt_arg $ family_arg $ n_arg $ p_arg $ seed_arg $ adversary_arg $ out_arg
-      $ chrome_arg $ metrics_json_arg $ remote_arg $ tail_arg)
+(* Every explore walk, canonical or enumerating, traced or not, stops at
+   this many distinct configurations or schedules. *)
+let explore_limit = 1_000_000
 
 let explore_cmd =
   let jobs_arg =
@@ -493,16 +414,6 @@ let explore_cmd =
           ~doc:
             "Split the exploration over N worker domains.  The printed result is identical at \
              every N")
-  in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a merged per-domain Chrome trace of the exploration to $(docv): each worker \
-             streams spans into its own flight-recorder ring, stitched into one Catapult file \
-             (forces plain schedule enumeration, like --no-dedup)")
   in
   let no_dedup_arg =
     Arg.(
@@ -528,7 +439,7 @@ let explore_cmd =
              states claimed, visited-table entries) from the metrics registry after the run")
   in
   let explore_ring_capacity = 65536 in
-  let run key family n p seed metrics_json jobs trace_out no_dedup quiet stats profile =
+  let run key family n p seed jobs no_dedup quiet stats chrome metrics profile =
     apply_profile profile;
     with_entry key (fun e ->
         let g = make_graph ~family ~n ~p ~seed in
@@ -538,7 +449,7 @@ let explore_cmd =
           exit 1
         end;
         let shards =
-          match trace_out with
+          match chrome with
           | None -> None
           | Some _ ->
             Some (Array.init jobs (fun _ -> Obs.Trace.Ring.create ~capacity:explore_ring_capacity))
@@ -560,7 +471,7 @@ let explore_cmd =
           end
         in
         let finish_trace () =
-          match (trace_out, shards) with
+          match (chrome, shards) with
           | Some file, Some rings ->
             Array.iteri
               (fun k r ->
@@ -576,13 +487,8 @@ let explore_cmd =
                     rings))
           | _ -> ()
         in
-        (* Tracing observes individual executions, so it forces plain
-           enumeration like --no-dedup: the canonical explorer visits each
-           configuration once. *)
-        let enumerate = no_dedup || Option.is_some shards in
-        let protocol = if enumerate then P.Protocol.opaque e.protocol else e.protocol in
-        let limit = if enumerate then Some 1_000_000 else None in
-        match P.Engine.verify_packed ?limit ~jobs ?shards protocol g check with
+        let protocol = if no_dedup then P.Protocol.opaque e.protocol else e.protocol in
+        match P.Engine.verify_packed ~limit:explore_limit ~jobs ?shards protocol g check with
         | Error (`Limit limit) ->
           Printf.eprintf "wbctl: exploration exceeded its limit (%d)\n" limit;
           exit 2
@@ -598,16 +504,21 @@ let explore_cmd =
             else Printf.printf "schedules explored: %d\n" v.P.Engine.finals;
           finish_trace ();
           print_stats ();
-          write_metrics_json metrics_json)
+          write_metrics metrics;
+          if not v.P.Engine.valid then exit 2)
   in
   Cmd.v
     (Cmd.info "explore"
        ~doc:
-         "Check a protocol under every adversarial schedule — canonical-state dedup and symmetry \
-          reduction by default where the protocol's traits allow, plain enumeration otherwise")
+         (Printf.sprintf
+            "Check a protocol under every adversarial schedule — canonical-state dedup and \
+             symmetry reduction by default where the protocol's traits allow, plain enumeration \
+             otherwise.  A walk stops after %d configurations (canonical) or schedules \
+             (enumeration) and exits 2, as a false verdict does"
+            explore_limit))
     Term.(
-      const run $ key_arg $ family_arg $ n_arg $ p_arg $ seed_arg $ metrics_json_arg $ jobs_arg
-      $ trace_out_arg $ no_dedup_arg $ quiet_arg $ stats_arg $ profile_arg)
+      const run $ key_arg $ family_arg $ n_arg $ p_arg $ seed_arg $ jobs_arg $ no_dedup_arg
+      $ quiet_arg $ stats_arg $ chrome_arg $ metrics_arg $ profile_arg)
 
 (* ---- networked whiteboard (wb_net) ----------------------------------- *)
 
@@ -720,24 +631,18 @@ let remote_run_cmd =
       & info [ "check" ]
           ~doc:"Differential check: the networked run must equal Engine.run under the same seed")
   in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a merged Chrome trace of the whole run to $(docv): one lane for the driver, \
-             one for the referee (its RPC spans), one per node client, causally linked through \
-             the wire's trace-context field")
-  in
   let flight_tail = 512 in
-  let run key family n p seed adv transport check timeout max_rounds trace_out =
+  (* With --chrome, the merged file has one lane for the driver, one for the
+     referee (its session, RPC and fault spans around the kernel's events)
+     and one per node client, causally linked through the wire's
+     trace-context field. *)
+  let run key family n p seed adv transport check timeout max_rounds chrome metrics =
     with_entry key (fun e ->
         let g = make_graph ~family ~n ~p ~seed in
         let n_nodes = G.Graph.n g in
         Printf.printf "graph: %s on %d nodes, %d edges (seed %d)   transport: %s\n" family
           n_nodes (G.Graph.num_edges g) seed transport;
-        let tracing = trace_out <> None in
+        let tracing = chrome <> None in
         (* The referee collector is always attached: it doubles as the flight
            recorder dumped when the run deadlocks or diverges. *)
         let session_sink, session_events = Obs.Trace.collector () in
@@ -798,7 +703,7 @@ let remote_run_cmd =
           (match root with
           | Some s -> Obs.Span.finish ~round:remote.P.Engine.stats.rounds driver_sink s
           | None -> ());
-          (match trace_out with
+          (match chrome with
           | None -> ()
           | Some file ->
             write_chrome_merge file
@@ -807,9 +712,10 @@ let remote_run_cmd =
               :: List.init n_nodes (fun v ->
                      ( Printf.sprintf "node-%d" (v + 1),
                        match client_sinks.(v) with Some (_, events) -> events () | None -> [] ))));
+          write_metrics metrics;
           if code <> 0 then begin
             let flight =
-              match trace_out with
+              match chrome with
               | Some f -> Filename.remove_extension f ^ ".flight.jsonl"
               | None -> "wbctl-remote-run.flight.jsonl"
             in
@@ -831,7 +737,7 @@ let remote_run_cmd =
           report")
     Term.(
       const run $ key_arg $ family_arg $ n_arg $ p_arg $ seed_arg $ adversary_arg $ transport_arg
-      $ check_arg $ timeout_arg $ max_rounds_arg $ trace_out_arg)
+      $ check_arg $ timeout_arg $ max_rounds_arg $ chrome_arg $ metrics_arg)
 
 let chaos_cmd =
   let plan_arg =
@@ -854,15 +760,6 @@ let chaos_cmd =
           ~doc:
             "Write the campaign report (JSON, schema 1) to $(docv) — byte-identical across \
              same-seed reruns")
-  in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Re-execute one campaign run (the first mismatching one, else run 0) with full \
-             telemetry and write the merged Chrome trace to $(docv)")
   in
   let flight_tail = 512 in
   (* "disconnect@R" names the kill-one-node-at-round-R preset for any R;
@@ -900,7 +797,9 @@ let chaos_cmd =
             Printf.eprintf "wbctl: invalid plan %s: %s\n" spec msg;
             exit 1)))
   in
-  let run key family n p seed adv plan_spec runs max_rounds report_out trace_out =
+  (* With --chrome, one campaign run (the first mismatching one, else run
+     0) is re-executed with full telemetry for the merged trace. *)
+  let run key family n p seed adv plan_spec runs max_rounds report_out chrome metrics =
     with_entry key (fun e ->
         let g = make_graph ~family ~n ~p ~seed in
         let n_nodes = G.Graph.n g in
@@ -933,8 +832,10 @@ let chaos_cmd =
           output_char oc '\n';
           close_out oc;
           Printf.printf "campaign report: %s\n" file);
+        (* The campaign's registry, before any re-traced run adds to it. *)
+        write_metrics metrics;
         (* Re-execute one run with full telemetry: the failing one when the
-           differential broke, run 0 when --trace asked for a trace anyway.
+           differential broke, run 0 when --chrome asked for a trace anyway.
            Derivation depends only on (seed, index), so the re-execution
            injects the identical fault schedule. *)
         let retrace index ~chrome ~flight =
@@ -970,20 +871,17 @@ let chaos_cmd =
             (fun r -> not (List.is_empty r.Chaos.Campaign.mismatches))
             campaign.Chaos.Campaign.records
         with
-        | None -> (
-          match trace_out with
-          | None -> ()
-          | Some file -> retrace 0 ~chrome:(Some file) ~flight:None)
+        | None -> Option.iter (fun file -> retrace 0 ~chrome:(Some file) ~flight:None) chrome
         | Some r ->
           Printf.printf "differential MISMATCH at run %d (run seed %d, adversary seed %d):\n"
             r.Chaos.Campaign.index r.Chaos.Campaign.run_seed r.Chaos.Campaign.adversary_seed;
           List.iter (fun i -> print_endline ("  " ^ i)) r.Chaos.Campaign.mismatches;
           let flight =
-            match trace_out with
+            match chrome with
             | Some f -> Filename.remove_extension f ^ ".flight.jsonl"
             | None -> "wbctl-chaos.flight.jsonl"
           in
-          retrace r.Chaos.Campaign.index ~chrome:trace_out ~flight:(Some flight);
+          retrace r.Chaos.Campaign.index ~chrome ~flight:(Some flight);
           Printf.printf "replay: wbctl chaos %s -g %s -n %d -p %g --seed %d -a %s --runs %d%s%s\n"
             key family n p seed adv runs
             (match plan_spec with Some s -> " --plan " ^ s | None -> "")
@@ -1000,7 +898,7 @@ let chaos_cmd =
           dumps the flight ring, re-traces the failing run and exits 2")
     Term.(
       const run $ key_arg $ family_arg $ n_arg $ p_arg $ seed_arg $ adversary_arg $ plan_arg
-      $ runs_arg $ max_rounds_arg $ report_arg $ trace_out_arg)
+      $ runs_arg $ max_rounds_arg $ report_arg $ chrome_arg $ metrics_arg)
 
 let top_cmd =
   let host_arg =
@@ -1020,15 +918,28 @@ let top_cmd =
           ~doc:"Print the referee's registry in OpenMetrics text form (METRICS RPC) instead of \
                 the telemetry table")
   in
-  let run host port timeout watch openmetrics =
+  (* One TELEMETRY probe serves the table and, with --events, the
+     referee's whole flight-recorder ring; --openmetrics alone needs only
+     the METRICS probe. *)
+  let run host port timeout watch openmetrics events =
     let once () =
+      if Option.is_some events || not openmetrics then begin
+        let tail = if Option.is_some events then Net.Server.ring_capacity else 0 in
+        let metrics, lines, dropped =
+          probe ~host ~port ~timeout (Net.Wire.Telemetry_request { tail }) (function
+            | Net.Wire.Telemetry_reply { metrics; events; dropped } -> Some (metrics, events, dropped)
+            | _ -> None)
+        in
+        Option.iter
+          (fun file ->
+            write_lines file lines;
+            Printf.printf "flight recorder: %d events -> %s (%d dropped or withheld)\n\n"
+              (List.length lines) file dropped)
+          events;
+        if not openmetrics then print_telemetry metrics
+      end;
       if openmetrics then
         print_string (probe ~host ~port ~timeout Net.Wire.Metrics_request metrics_body)
-      else
-        print_telemetry
-          (probe ~host ~port ~timeout (Net.Wire.Telemetry_request { tail = 0 }) (function
-            | Net.Wire.Telemetry_reply { metrics; _ } -> Some metrics
-            | _ -> None))
     in
     match watch with
     | None -> once ()
@@ -1049,8 +960,8 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:
          "Live metrics from a running referee over the TELEMETRY RPC: counters, gauges, and the \
-          net.rpc.* latency percentiles")
-    Term.(const run $ host_arg $ port_arg $ timeout_arg $ watch_arg $ openmetrics_arg)
+          net.rpc.* latency percentiles; with --events, also its flight-recorder ring")
+    Term.(const run $ host_arg $ port_arg $ timeout_arg $ watch_arg $ openmetrics_arg $ events_arg)
 
 let synth_cmd =
   let problem_arg =
@@ -1120,7 +1031,7 @@ let cost_cmd =
           ~doc:
             "Comma-separated node counts; two-cliques entries round to the even size below, \
              and an entry skips the sizes below its smallest instance (k + 1 nodes for a \
-             k-degenerate promise)")
+             k-degenerate promise) and any size whose instance size it has already measured")
   in
   let cost_seed_arg =
     Arg.(value & opt int 2012 & info [ "seed" ] ~docv:"SEED" ~doc:"Instance-generation seed")
@@ -1163,52 +1074,6 @@ let cost_cmd =
          "Sweep the registry's cost certificates: measured worst message vs closed-form envelope \
           vs Lemma 3 floor across a range of sizes, exiting 2 on any violation")
     Term.(const run $ protocol_arg $ sweep_arg $ cost_seed_arg $ json_arg)
-
-let metrics_cmd =
-  let remote_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "remote" ] ~docv:"HOST:PORT"
-          ~doc:"Scrape a running referee (METRICS RPC) instead of this process's registry")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write the exposition to $(docv) instead of stdout")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the raw registry JSON envelope instead of OpenMetrics text")
-  in
-  let run remote timeout out json =
-    let body =
-      match remote with
-      | None ->
-        if json then Obs.Json.to_string (Obs.Metrics.dump_json ()) ^ "\n"
-        else Obs.Metrics.dump_openmetrics ()
-      | Some hostport -> (
-        match parse_host_port hostport with
-        | None -> die "--remote expects HOST:PORT"
-        | Some _ when json -> die "--json applies to the local registry only"
-        | Some (host, port) -> probe ~host ~port ~timeout Net.Wire.Metrics_request metrics_body)
-    in
-    match out with
-    | None -> print_string body
-    | Some file ->
-      let oc = open_out_or_die file in
-      output_string oc body;
-      close_out oc;
-      Printf.printf "wrote %s\n" file
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Dump the metrics registry in OpenMetrics text form — this process's (empty unless a \
-          command ran in-process) or a remote referee's via the METRICS RPC")
-    Term.(const run $ remote_arg $ timeout_arg $ out_arg $ json_arg)
 
 let bench_cmd =
   let suites =
@@ -1289,6 +1154,5 @@ let () =
     (Cmd.eval
        (Cmd.group ~default
           (Cmd.info "wbctl" ~version:"1.0.0" ~doc:"Shared-whiteboard distributed computing laboratory")
-          [ models_cmd; protocols_cmd; run_cmd; trace_cmd; explore_cmd; serve_cmd; join_cmd;
-            remote_run_cmd; chaos_cmd; top_cmd; metrics_cmd; bench_cmd; synth_cmd; counting_cmd;
-            cost_cmd; graph_cmd ]))
+          [ models_cmd; protocols_cmd; run_cmd; explore_cmd; serve_cmd; join_cmd; remote_run_cmd;
+            chaos_cmd; top_cmd; bench_cmd; synth_cmd; counting_cmd; cost_cmd; graph_cmd ]))

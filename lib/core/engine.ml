@@ -92,8 +92,8 @@ module Make (P : Protocol.S) = struct
 
   module M = Machine.Make (N)
 
-  let run ?max_rounds ?trace ?span g adv =
-    let m = M.init ?max_rounds ?trace ?span g in
+  let run ?max_rounds ?trace g adv =
+    let m = M.init ?max_rounds ?trace g in
     let rec loop () =
       match M.step m with
       | `Choices candidates ->
@@ -247,8 +247,8 @@ module Make (P : Protocol.S) = struct
         let dq = deques.(k) in
         let steals = ref 0 in
         (* Worker [k] streams into its own ring (single-writer, so the
-           non-thread-safe Ring is fine) under a per-domain "worker" root
-           span, with its machine's "run" span below it. *)
+           non-thread-safe Ring is fine): its machine's events, under one
+           per-domain "worker" root span. *)
         let trace = Option.map (fun a -> Obs.Trace.Ring.sink a.(k)) shards in
         let wroot =
           Option.map
@@ -257,7 +257,7 @@ module Make (P : Protocol.S) = struct
               (tr, Obs.Span.start ~attrs:[ ("domain", string_of_int k) ] minter tr "worker"))
             trace
         in
-        let m = M.init ?trace ?span:(Option.map (fun (_, s) -> Obs.Span.context s) wroot) g in
+        let m = M.init ?trace g in
         let root = M.snapshot m in
         let feed prefix =
           M.restore m root;
@@ -361,9 +361,9 @@ module Make (P : Protocol.S) = struct
         }
 end
 
-let run_packed ?max_rounds ?trace ?span (module P : Protocol.S) g adv =
+let run_packed ?max_rounds ?trace (module P : Protocol.S) g adv =
   let module E = Make (P) in
-  E.run ?max_rounds ?trace ?span g adv
+  E.run ?max_rounds ?trace g adv
 
 let verify_packed ?limit ?jobs ?shards (module P : Protocol.S) g check =
   let module E = Make (P) in

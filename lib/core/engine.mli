@@ -93,18 +93,11 @@ type verification = {
     and independent of [jobs]. *)
 
 module Make (P : Protocol.S) : sig
-  val run :
-    ?max_rounds:int ->
-    ?trace:Wb_obs.Trace.t ->
-    ?span:Wb_obs.Span.context ->
-    Wb_graph.Graph.t ->
-    Adversary.t ->
-    run
+  val run : ?max_rounds:int -> ?trace:Wb_obs.Trace.t -> Wb_graph.Graph.t -> Adversary.t -> run
   (** Execute under one adversary.  [max_rounds] defaults to [2n + 8]
       (any legal execution fits; exceeding it is reported as [Deadlock]).
       [trace] receives the execution's event stream; the sink is {e not}
-      closed — the caller owns it.  [span] parents the traced run's root
-      span (see {!Machine.Make.init}). *)
+      closed — the caller owns it. *)
 
   val verify :
     ?limit:int ->
@@ -146,22 +139,15 @@ module Make (P : Protocol.S) : sig
 
       Instead of a shared trace (interleaved worker events have no
       meaningful order), [shards] gives each worker its own flight-recorder
-      ring: worker [k] streams into [shards.(k)] under a per-domain
-      ["worker"] root span (attr ["domain"]), with its machine's ["run"]
-      span a child of it — stitch the shards into one Catapult file with
-      {!Wb_obs.Chrome.merge}.  The sequential first phase is untraced.
+      ring: worker [k] streams its machine's events into [shards.(k)]
+      under a per-domain ["worker"] root span (attr ["domain"]) — stitch
+      the shards into one Catapult file with {!Wb_obs.Chrome.merge}.  The sequential first phase is untraced.
       @raise Invalid_argument when [jobs < 1] or when [shards] is given
       with length [<> jobs]. *)
 end
 
 val run_packed :
-  ?max_rounds:int ->
-  ?trace:Wb_obs.Trace.t ->
-  ?span:Wb_obs.Span.context ->
-  Protocol.t ->
-  Wb_graph.Graph.t ->
-  Adversary.t ->
-  run
+  ?max_rounds:int -> ?trace:Wb_obs.Trace.t -> Protocol.t -> Wb_graph.Graph.t -> Adversary.t -> run
 
 val verify_packed :
   ?limit:int ->

@@ -105,10 +105,6 @@ module Make (N : NODE) = struct
     views : View.t array;
     board : Board.t;
     trace : Obs.Trace.t option;
-    minter : Obs.Span.minter;
-    root_ctx : Obs.Span.context option;  (* parent for per-round spans *)
-    mutable span_root : Obs.Span.t option;
-    mutable span_round : Obs.Span.t option;
     mutable status : status array;
     mutable locals : N.local array;
     mutable memory : Message.t option array;
@@ -141,32 +137,15 @@ module Make (N : NODE) = struct
 
   let simultaneous = Model.simultaneous N.model
 
-  let init ?max_rounds ?trace ?span g =
+  let init ?max_rounds ?trace g =
     let size = G.n g in
     let views = Array.init size (View.make g) in
-    (* Seeded from the parent context (or 0), so span ids — and with them
-       the whole trace tree — are reproducible run over run. *)
-    let minter =
-      Obs.Span.minter
-        ~seed:(match span with Some c -> c.Obs.Span.trace lxor c.Obs.Span.span | None -> 0)
-        ()
-    in
-    let span_root =
-      match trace with
-      | None -> None
-      | Some tr ->
-        Some (Obs.Span.start ?parent:span ~attrs:[ ("n", string_of_int size) ] minter tr "run")
-    in
     { size;
       bound = N.message_bound ~n:size;
       max_rounds = (match max_rounds with Some r -> r | None -> default_max_rounds size);
       views;
       board = Board.create size;
       trace;
-      minter;
-      root_ctx = Option.map Obs.Span.context span_root;
-      span_root;
-      span_round = None;
       status = Array.make size Awake;
       locals = Array.map N.init views;
       memory = Array.make size None;
@@ -217,28 +196,6 @@ module Make (N : NODE) = struct
     | Waiting -> Rs.fold (fun v a -> Mix.combine a (v + 2)) (Rs.view t.live) (Mix.combine acc 1)
     | Idle | Chosen _ -> Mix.combine acc 0
 
-  (* Every event is built inside a [Some tr] branch, so untraced runs
-     allocate none. *)
-  let span_start t ?parent ?attrs name =
-    match t.trace with
-    | None -> None
-    | Some tr -> Some (Obs.Span.start ?parent ?attrs ~round:t.round t.minter tr name)
-
-  let span_finish t s =
-    match (t.trace, s) with
-    | Some tr, Some sp -> Obs.Span.finish ~round:t.round tr sp
-    | _ -> ()
-
-  (* Children of the current round when one is open, of the run otherwise
-     (faults reported between rounds, e.g. a handshake that never ran). *)
-  let inner_parent t =
-    match t.span_round with Some s -> Some (Obs.Span.context s) | None -> t.root_ctx
-
-  let node_span t v name =
-    match t.trace with
-    | None -> None
-    | Some _ -> span_start t ?parent:(inner_parent t) ~attrs:[ ("node", string_of_int (v + 1)) ] name
-
   let kill t v =
     if t.status.(v) <> Dead then begin
       set_status t v Dead;
@@ -247,13 +204,11 @@ module Make (N : NODE) = struct
       (* A killed pick never writes: the choice reopens without it. *)
       (match t.pending with
       | Chosen w when w = v -> t.pending <- Waiting
-      | Idle | Waiting | Chosen _ -> ());
-      span_finish t (node_span t v "fault")
+      | Idle | Waiting | Chosen _ -> ())
     end
 
   let compose_now t v =
-    let sp = node_span t v "compose" in
-    (match N.compose ~round:t.round t.views.(v) t.board t.locals.(v) with
+    match N.compose ~round:t.round t.views.(v) t.board t.locals.(v) with
     | None -> kill t v
     | Some (m, local) ->
       t.locals.(v) <- local;
@@ -267,8 +222,7 @@ module Make (N : NODE) = struct
       match t.trace with
       | None -> ()
       | Some tr ->
-        Obs.Trace.emit tr (Obs.Event.Compose { node = v; round = t.round; bits = Message.size_bits m }));
-    span_finish t sp
+        Obs.Trace.emit tr (Obs.Event.Compose { node = v; round = t.round; bits = Message.size_bits m })
 
   (* Visited for every member of [awake] at the start of the loop; a hook
      may kill a node meanwhile, including the one it answers for (a faulted
@@ -300,15 +254,10 @@ module Make (N : NODE) = struct
      whether anyone activated. *)
   let round_prefix t =
     Obs.Prof.phase prof_round (fun () ->
-    (* Close the previous round's span while its round number is still
-       current, so span events keep the stream's round monotonicity. *)
-    span_finish t t.span_round;
-    t.span_round <- None;
     t.round <- t.round + 1;
     (match t.trace with
     | None -> ()
     | Some tr -> Obs.Trace.emit tr (Obs.Event.Round_start { round = t.round }));
-    t.span_round <- span_start t ?parent:t.root_ctx "round";
     (match t.last_writer with
     | -1 -> ()
     | w ->
@@ -348,11 +297,6 @@ module Make (N : NODE) = struct
     (match (t.trace, outcome) with
     | Some tr, Deadlock -> Obs.Trace.emit tr (Obs.Event.Deadlock_detected { round = t.round })
     | _ -> ());
-    (* Spans close before the terminal event: Run_end stays last. *)
-    span_finish t t.span_round;
-    t.span_round <- None;
-    span_finish t t.span_root;
-    t.span_root <- None;
     (match t.trace with
     | None -> ()
     | Some tr -> Obs.Trace.emit tr (Obs.Event.Run_end { round = t.round; outcome = outcome_tag outcome }));
@@ -493,9 +437,5 @@ module Make (N : NODE) = struct
     t.z0 <- s.s_z0;
     t.z1 <- s.s_z1;
     t.mem_h <- Array.copy s.s_mem_h;
-    (* A restore rewinds logical time, so stopping the open round span here
-       would emit a stop at an earlier round than its start; drop it
-       unstopped instead (the exporters tolerate unclosed spans). *)
-    t.span_round <- None;
     t.finished <- None
 end

@@ -113,20 +113,11 @@ end
 module Make (N : NODE) : sig
   type t
 
-  val init :
-    ?max_rounds:int ->
-    ?trace:Wb_obs.Trace.t ->
-    ?span:Wb_obs.Span.context ->
-    Wb_graph.Graph.t ->
-    t
+  val init : ?max_rounds:int -> ?trace:Wb_obs.Trace.t -> Wb_graph.Graph.t -> t
   (** [max_rounds] defaults to {!default_max_rounds}.  [trace] receives the
-      execution's event stream; the sink is {e not} closed — the caller
-      owns it.  When traced, the kernel opens a ["run"] root span (a child
-      of [span] when given — how a networked session joins its driver's
-      trace) and child spans per round, compose and fault; span ids are
-      minted deterministically from [span] (or seed 0), so the trace tree
-      is reproducible.  Sibling machines sharing one parent mint identical
-      ids, so give each its own parent span. *)
+      execution's {!Wb_obs.Event} stream and nothing else: the kernel opens
+      no spans, so its rounds, compositions and writes are described once,
+      by their events.  The sink is {e not} closed — the caller owns it. *)
 
   val step : t -> [ `Choices of Wb_support.Rankset.view | `Write of int | `Done of run ]
   (** Advance until something needs the driver:

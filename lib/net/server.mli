@@ -19,7 +19,7 @@
     teed into a fixed-capacity flight-recorder ring.  A connection whose
     first frame is TELEMETRY gets back the process metrics snapshot plus
     the newest ring events that fit one frame — this is what [wbctl top]
-    and [wbctl trace --remote] poll.  The context carried by the
+    polls, and [wbctl top --events] asks for the whole ring.  The context carried by the
     roster-completing HELLO becomes the session's parent span, stitching
     the referee's spans into the driver's trace. *)
 
@@ -35,6 +35,9 @@ type spec = {
       (** extra sink teed alongside the flight-recorder ring; every
           session's events (and spans) reach both. *)
 }
+
+val ring_capacity : int
+(** Events the flight-recorder ring keeps (the newest win). *)
 
 type t
 

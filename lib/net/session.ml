@@ -90,20 +90,8 @@ let run cfg conns =
     site_now.(v) <- Hook hook_count.(v);
     hook_count.(v) <- hook_count.(v) + 1
   in
-  (* Forward reference: the hooks below must kill kernel-side, but the
-     machine is built from the hooks. *)
-  let kill_ref = ref (fun (_ : int) -> ()) in
-  let fail_node v fault =
-    if not dead.(v) then begin
-      dead.(v) <- true;
-      faults := (v, fault) :: !faults;
-      deaths := { node = v; site = site_now.(v) } :: !deaths;
-      Conn.close conns.(v);
-      !kill_ref v
-    end
-  in
-  (* Ids are minted from the parent context, so session span ids — like the
-     kernel's — reproduce under the same driver trace. *)
+  (* Ids are minted from the parent context, so session span ids
+     reproduce under the same driver trace. *)
   let minter =
     Obs.Span.minter
       ~seed:(match cfg.parent with Some c -> c.Obs.Span.trace lxor c.Obs.Span.span | None -> 1)
@@ -116,6 +104,29 @@ let run cfg conns =
       Some (Obs.Span.start ?parent:cfg.parent ~attrs:[ ("n", string_of_int n) ] minter tr "session")
   in
   let session_ctx = Option.map Obs.Span.context session_span in
+  (* Forward references: the hooks below must kill kernel-side and read
+     the kernel's round, but the machine is built from the hooks. *)
+  let kill_ref = ref (fun (_ : int) -> ()) in
+  let round_ref = ref (fun () -> 0) in
+  (* The only place a node dies under a trace: a zero-length ["fault"]
+     span under the session marks it. *)
+  let fail_node v fault =
+    if not dead.(v) then begin
+      dead.(v) <- true;
+      faults := (v, fault) :: !faults;
+      deaths := { node = v; site = site_now.(v) } :: !deaths;
+      Conn.close conns.(v);
+      (match cfg.trace with
+      | None -> ()
+      | Some tr ->
+        let round = !round_ref () in
+        Obs.Span.finish ~round tr
+          (Obs.Span.start ?parent:session_ctx
+             ~attrs:[ ("node", string_of_int (v + 1)) ]
+             ~round minter tr "fault"));
+      !kill_ref v
+    end
+  in
   let send ?ctx v frame =
     match Conn.send ?ctx conns.(v) frame with
     | Ok () -> true
@@ -216,8 +227,9 @@ let run cfg conns =
     let output = P.output
   end in
   let module Mach = M.Machine.Make (N) in
-  let m = Mach.init ?max_rounds:cfg.max_rounds ?trace:cfg.trace ?span:session_ctx g in
+  let m = Mach.init ?max_rounds:cfg.max_rounds ?trace:cfg.trace g in
   kill_ref := Mach.kill m;
+  round_ref := (fun () -> Mach.round m);
   let rec drive () =
     match Mach.step m with
     | `Choices candidates ->

@@ -9,10 +9,12 @@
     activation/composition order, deadlock and size-violation rules, the
     [max_rounds] default and the {!Wb_obs.Event} stream all come from the
     kernel.  With a trace attached the referee opens a ["session"] span
-    (child of [parent]) above the kernel's ["run"] span and one
+    (child of [parent]) around the kernel's events, one
     [net.rpc.activate]/[net.rpc.compose] span per RPC, whose context rides
-    the outgoing frame; RPC round-trip latency feeds the [net.rpc.*_us]
-    histograms whether or not tracing is on.  On a fault-free run the result's {!Wb_model.Engine.run} is
+    the outgoing frame, and one zero-length ["fault"] span (attr ["node"])
+    per node it marks dead; RPC round-trip latency feeds the
+    [net.rpc.*_us] histograms whether or not tracing is on.  On a
+    fault-free run the result's {!Wb_model.Engine.run} is
     {e identical} to [Engine.run] under the same graph, adversary and
     protocol (the differential tests pin this); model semantics are
     enforced kernel-side on the referee — a client that lies about its

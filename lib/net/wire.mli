@@ -84,7 +84,7 @@ type frame =
       (** client → server: dump the metrics registry in OpenMetrics text
           form.  Like {!Telemetry_request}, answered on the handshake
           before any HELLO — the scrape endpoint for Prometheus-style
-          tooling ([wbctl metrics --remote]).  Version 2 only. *)
+          tooling ([wbctl top --openmetrics]).  Version 2 only. *)
   | Metrics_reply of { body : string }
       (** server → client: [body] is {!Wb_obs.Metrics.dump_openmetrics}
           output, ending in [# EOF].  Version 2 only. *)

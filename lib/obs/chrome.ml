@@ -9,9 +9,14 @@ let common ?(pid = 1) ~name ~ph ~ts ~tid extra =
        ("tid", Json.Int tid) ]
     @ extra)
 
-let instant ?pid ~name ~round ~tid args =
-  common ?pid ~name ~ph:"i" ~ts:(ts_of_round round) ~tid
+let instant ~name ~round ~tid args =
+  common ~name ~ph:"i" ~ts:(ts_of_round round) ~tid
     (("s", Json.String "t") :: (if List.is_empty args then [] else [ ("args", Json.Obj args) ]))
+
+(* A complete ("X") slice over rounds [from, until), at least one round wide. *)
+let slice ~name ~tid ~from ~until extra =
+  common ~name ~ph:"X" ~ts:(ts_of_round from) ~tid
+    (("dur", Json.Int (max 1 (until - from) * 1000)) :: extra)
 
 (* Spans render as Catapult async events ("b"/"e") keyed by span id, so
    nesting across lanes survives and the validator can check causality
@@ -19,8 +24,8 @@ let instant ?pid ~name ~round ~tid args =
    root. *)
 let span_id span = Printf.sprintf "0x%x" span
 
-let span_begin ?pid ~ts ~trace ~span ~parent ~name ~attrs () =
-  common ?pid ~name ~ph:"b" ~ts ~tid:0
+let span_begin ~pid ~ts ~trace ~span ~parent ~name ~attrs =
+  common ~pid ~name ~ph:"b" ~ts ~tid:0
     [ ("cat", Json.String "span");
       ("id", Json.String (span_id span));
       ("args",
@@ -30,8 +35,8 @@ let span_begin ?pid ~ts ~trace ~span ~parent ~name ~attrs () =
             ("parent", match parent with None -> Json.Null | Some p -> Json.Int p) ]
          @ List.map (fun (k, v) -> (k, Json.String v)) attrs)) ]
 
-let span_end ?pid ~ts ~span ~name () =
-  common ?pid ~name ~ph:"e" ~ts ~tid:0
+let span_end ~pid ~ts ~span ~name =
+  common ~pid ~name ~ph:"e" ~ts ~tid:0
     [ ("cat", Json.String "span"); ("id", Json.String (span_id span)) ]
 
 let convert events =
@@ -48,61 +53,63 @@ let convert events =
       | Event.Write { node; round; _ } -> Hashtbl.replace completion node round
       | _ -> ())
     events;
-  let slices =
+  let lifetimes =
     Hashtbl.fold
       (fun node a_round acc ->
         let w_round =
           match Hashtbl.find_opt completion node with Some r -> r | None -> !last_round
         in
-        let dur = max 1 (w_round - a_round) in
-        common
+        slice
           ~name:(Printf.sprintf "node %d active" (node + 1))
-          ~ph:"X" ~ts:(ts_of_round a_round) ~tid:(node + 1)
-          [ ("dur", Json.Int (dur * 1000));
-            ("args",
+          ~tid:(node + 1) ~from:a_round ~until:w_round
+          [ ("args",
              Json.Obj
                [ ("activation_round", Json.Int a_round);
                  ("wrote", Json.Bool (Hashtbl.mem completion node)) ]) ]
         :: acc)
       activation []
   in
-  (* Spans share the logical (round) axis of the single-run view; the real
-     wall-clock endpoints stay available in the JSONL export.  A stop whose
-     start fell outside this event list (ring truncation, sampling windows)
-     is dropped so every "e" has a prior "b". *)
-  let open_spans = Hashtbl.create 16 in
-  let instants =
-    List.filter_map
-      (fun ev ->
+  (* Pass 2: each round is a slice on the scheduler row, from its
+     Round_start to the next Round_start or the Run_end (the horizon when
+     the stream has neither); compositions, picks, writes, deadlock and the
+     run end are instants.  Activations are covered by the lifetimes. *)
+  let open_round = ref None in
+  let close_round until acc =
+    match !open_round with
+    | None -> acc
+    | Some from ->
+      open_round := None;
+      slice ~name:(Printf.sprintf "round %d" from) ~tid:0 ~from ~until [] :: acc
+  in
+  let records =
+    List.fold_left
+      (fun acc ev ->
         match ev with
         | Event.Round_start { round } ->
-          Some (instant ~name:(Printf.sprintf "round %d" round) ~round ~tid:0 [])
-        | Event.Activate _ -> None (* covered by the slice *)
+          let acc = close_round round acc in
+          open_round := Some round;
+          acc
         | Event.Compose { node; round; bits } ->
-          Some (instant ~name:"compose" ~round ~tid:(node + 1) [ ("bits", Json.Int bits) ])
+          instant ~name:"compose" ~round ~tid:(node + 1) [ ("bits", Json.Int bits) ] :: acc
         | Event.Adversary_pick { node; round; candidates } ->
-          Some
-            (instant ~name:"adversary pick" ~round ~tid:0
-               [ ("node", Json.Int (node + 1));
-                 ("candidates", Json.Int (List.length candidates)) ])
+          instant ~name:"adversary pick" ~round ~tid:0
+            [ ("node", Json.Int (node + 1));
+              ("candidates", Json.Int (List.length candidates)) ]
+          :: acc
         | Event.Write { node; round; bits; board_bits } ->
-          Some
-            (instant ~name:"write" ~round ~tid:(node + 1)
-               [ ("bits", Json.Int bits); ("board_bits", Json.Int board_bits) ])
-        | Event.Deadlock_detected { round } -> Some (instant ~name:"DEADLOCK" ~round ~tid:0 [])
+          instant ~name:"write" ~round ~tid:(node + 1)
+            [ ("bits", Json.Int bits); ("board_bits", Json.Int board_bits) ]
+          :: acc
+        | Event.Deadlock_detected { round } -> instant ~name:"DEADLOCK" ~round ~tid:0 [] :: acc
         | Event.Run_end { round; outcome } ->
-          Some (instant ~name:"run end" ~round ~tid:0 [ ("outcome", Json.String outcome) ])
-        | Event.Span_start { trace; span; parent; name; round; attrs; _ } ->
-          Hashtbl.replace open_spans span name;
-          Some (span_begin ~ts:(ts_of_round round) ~trace ~span ~parent ~name ~attrs ())
-        | Event.Span_stop { span; round; _ } -> (
-          match Hashtbl.find_opt open_spans span with
-          | Some name -> Some (span_end ~ts:(ts_of_round round) ~span ~name ())
-          | None -> None))
-      events
+          instant ~name:"run end" ~round ~tid:0 [ ("outcome", Json.String outcome) ]
+          :: close_round round acc
+        | Event.Activate _ | Event.Span_start _ | Event.Span_stop _ -> acc)
+      [] events
   in
+  let records = List.rev (close_round !last_round records) in
   Json.Obj
-    [ ("traceEvents", Json.List (slices @ instants)); ("displayTimeUnit", Json.String "ms") ]
+    [ ("traceEvents", Json.List (lifetimes @ records)); ("displayTimeUnit", Json.String "ms") ]
 
 let merge shards =
   (* One pid lane per shard, spans on a shared wall-clock axis normalised to
@@ -142,12 +149,12 @@ let merge shards =
             let ts = max 0 (ts_us - t0) in
             cursor := ts;
             Hashtbl.replace open_spans span name;
-            Some (span_begin ~pid ~ts ~trace ~span ~parent ~name ~attrs ())
+            Some (span_begin ~pid ~ts ~trace ~span ~parent ~name ~attrs)
           | Event.Span_stop { span; ts_us; _ } -> (
             let ts = max 0 (ts_us - t0) in
             cursor := ts;
             match Hashtbl.find_opt open_spans span with
-            | Some name -> Some (span_end ~pid ~ts ~span ~name ())
+            | Some name -> Some (span_end ~pid ~ts ~span ~name)
             | None -> None)
           | Event.Round_start { round } ->
             Some

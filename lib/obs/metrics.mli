@@ -103,7 +103,9 @@ end
 val dump_openmetrics : unit -> string
 (** {!Openmetrics.of_json} over {!dump_json}, with HELP lines drawn from
     the registered help strings — the payload served to Prometheus scrapes
-    via the referee's METRICS opcode and [wbctl metrics]. *)
+    via the referee's METRICS opcode ([wbctl top --openmetrics]), and
+    what [wbctl]'s [--metrics FILE] writes for a name not ending in
+    [.json]. *)
 
 val pp_table : Format.formatter -> unit -> unit
 (** Human-readable table of the same snapshot. *)

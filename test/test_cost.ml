@@ -45,7 +45,20 @@ let certificate_tests =
         check "an unknown key has no certificate"
           (match Cost.certificate "no-such" with
           | exception Invalid_argument _ -> true
-          | _ -> false)) ]
+          | _ -> false));
+    Alcotest.test_case "a sweep measures each instance size once" `Quick (fun () ->
+        (* two-cliques entries round 3 and 5 down to 2 and 4 *)
+        let rep, _ = Cost.sweep ~seed:2012 ~fast:false ~ns:[ 2; 3; 4; 5 ] () in
+        let names =
+          List.filter_map
+            (fun r -> Option.bind (Obs.Json.member "name" r) Obs.Json.to_str)
+            (Option.value ~default:[]
+               (Option.bind (Obs.Json.member "rows" (Wb_bench.Report.to_json rep)) Obs.Json.to_list))
+        in
+        check "the sweep wrote rows" (names <> []);
+        Alcotest.(check int)
+          "distinct row names" (List.length names)
+          (List.length (List.sort_uniq String.compare names))) ]
 
 (* --- Write events == engine.message_bits == engine stats --------------- *)
 

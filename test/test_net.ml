@@ -505,13 +505,13 @@ let tampered_conns ?(tamper = fun _ handler -> handler) ~protocol g =
       | Error f -> Alcotest.failf "handshake: %s" (Net.Conn.fault_to_string f));
       (client, conn))
 
-let run_session ~protocol g conns =
+let run_session ?trace ~protocol g conns =
   Net.Session.run
     { Net.Session.protocol;
       graph = g;
       adversary = Adversary.min_id;
       max_rounds = None;
-      trace = None;
+      trace;
       parent = None }
     (Array.map snd conns)
 
@@ -588,7 +588,60 @@ let fault_tests =
         check "confusion recorded against node 1" true
           (match r.Net.Session.faults with
           | [ (1, Net.Session.Confused _) ] -> true
-          | _ -> false)) ]
+          | _ -> false));
+    Alcotest.test_case "each dead node leaves one fault span under the session span" `Quick
+      (fun () ->
+        let entry = Option.get (R.find "bfs") in
+        let g = G.Gen.random_connected (Prng.create 13) 8 0.3 in
+        (* nodes 0 and 5 survive the handshake and one query, then vanish *)
+        let tamper v handler =
+          if v <> 0 && v <> 5 then handler
+          else begin
+            let calls = ref 0 in
+            fun frame ->
+              incr calls;
+              if !calls > 2 then raise Net.Conn.Hangup else handler frame
+          end
+        in
+        let conns = tampered_conns ~tamper ~protocol:entry.R.protocol g in
+        let sink, events = Obs.Trace.collector () in
+        let r = run_session ~trace:sink ~protocol:entry.R.protocol g conns in
+        let starts =
+          List.filter_map
+            (function
+              | Obs.Event.Span_start { span; parent; name; attrs; _ } -> Some (span, parent, name, attrs)
+              | _ -> None)
+            (events ())
+        in
+        let session =
+          match List.filter (fun (_, _, name, _) -> name = "session") starts with
+          | [ (span, _, _, _) ] -> span
+          | l -> Alcotest.failf "%d session spans" (List.length l)
+        in
+        let fault_nodes =
+          List.filter_map
+            (fun (_, parent, name, attrs) ->
+              if name <> "fault" then None
+              else begin
+                check "a fault span is a child of the session span" true (parent = Some session);
+                List.assoc_opt "node" attrs
+              end)
+            starts
+        in
+        Alcotest.(check (list string))
+          "one fault span per dead node" [ "1"; "6" ]
+          (List.sort compare fault_nodes);
+        Alcotest.(check (list int))
+          "the deaths agree" [ 0; 5 ]
+          (List.sort compare (List.map (fun d -> d.Net.Session.node) r.Net.Session.deaths));
+        let opened = List.map (fun (span, _, _, _) -> span) starts in
+        let closed =
+          List.filter_map
+            (function Obs.Event.Span_stop { span; _ } -> Some span | _ -> None)
+            (events ())
+        in
+        check "the referee closes every span it opens" true
+          (List.sort compare opened = List.sort compare closed)) ]
 
 (* --- real sockets ------------------------------------------------------ *)
 

@@ -269,40 +269,6 @@ let span_tests =
             | Ok ev' -> check (Format.asprintf "%a" E.pp ev) true (ev' = ev)
             | Error msg -> Alcotest.failf "decode failed: %s" msg)
           (events ()));
-    Alcotest.test_case "a traced run roots its spans under the caller's span" `Quick
-      (fun () ->
-        let tr, events = Obs.Trace.collector () in
-        let m = Obs.Span.minter ~seed:5 () in
-        let root = Obs.Span.start m tr "driver" in
-        let g = G.Gen.grid 3 3 in
-        let run =
-          Engine.run_packed ~trace:tr ~span:(Obs.Span.context root)
-            Wb_protocols.Bfs_sync.protocol g Adversary.min_id
-        in
-        Obs.Span.finish tr root;
-        check "succeeded" true (Engine.succeeded run);
-        let starts =
-          List.filter_map
-            (function
-              | E.Span_start { trace; span; parent; name; _ } ->
-                Some (trace, span, parent, name)
-              | _ -> None)
-            (events ())
-        in
-        let ctx = Obs.Span.context root in
-        check "every span shares the driver's trace id" true
-          (List.for_all (fun (t, _, _, _) -> t = ctx.Obs.Span.trace) starts);
-        check "exactly one root" true
-          (List.length (List.filter (fun (_, _, p, _) -> p = None) starts) = 1);
-        let ids = List.map (fun (_, s, _, _) -> s) starts in
-        check "ids distinct" true
-          (List.length (List.sort_uniq compare ids) = List.length ids);
-        check "the run span is a child of the driver span" true
-          (List.exists (fun (_, _, p, n) -> n = "run" && p = Some ctx.Obs.Span.span) starts);
-        check "every parent is a started span" true
-          (List.for_all
-             (fun (_, _, p, _) -> match p with None -> true | Some p -> List.mem p ids)
-             starts));
     Alcotest.test_case "Chrome.merge names each shard and keeps b/e pairs matched" `Quick
       (fun () ->
         let shard seed name =
@@ -412,6 +378,25 @@ let traced_bfs_64 () =
   check "succeeded" true (Engine.succeeded run);
   (run, events ())
 
+(* The 64-node BFS through the Chrome writer and a collector at once: the
+   live events and the records of the file written from them. *)
+let chrome_bfs_64 () =
+  with_temp_file ".json" (fun path ->
+      let oc = open_out path in
+      let chrome = Obs.Chrome.writer oc in
+      let collect, events = Obs.Trace.collector () in
+      let g = G.Gen.random_connected (Prng.create 41) 64 0.08 in
+      let run =
+        Engine.run_packed
+          ~trace:(Obs.Trace.tee [ chrome; collect ])
+          Wb_protocols.Bfs_sync.protocol g Adversary.min_id
+      in
+      Obs.Trace.close chrome;
+      close_out oc;
+      check "succeeded" true (Engine.succeeded run);
+      let body = In_channel.with_open_bin path In_channel.input_all in
+      (events (), Option.get (J.to_list (J.get "traceEvents" (J.of_string_exn body)))))
+
 let engine_stream_tests =
   [ Alcotest.test_case "SYNC BFS n=64 stream satisfies the ordering invariants" `Quick
       (fun () ->
@@ -444,34 +429,47 @@ let engine_stream_tests =
             assert_stream_invariants "jsonl" ~n:64 decoded));
     Alcotest.test_case "Chrome export is valid JSON with one slice per node" `Quick
       (fun () ->
-        with_temp_file ".json" (fun path ->
-            let oc = open_out path in
-            let chrome = Obs.Chrome.writer oc in
-            let g = G.Gen.random_connected (Prng.create 41) 64 0.08 in
-            let run =
-              Engine.run_packed ~trace:chrome Wb_protocols.Bfs_sync.protocol g
-                Adversary.min_id
-            in
-            Obs.Trace.close chrome;
-            close_out oc;
-            check "succeeded" true (Engine.succeeded run);
-            let ic = open_in path in
-            let len = in_channel_length ic in
-            let body = really_input_string ic len in
-            close_in ic;
-            let v = J.of_string_exn body in
-            let events = Option.get (J.to_list (J.get "traceEvents" v)) in
-            let phase e = J.to_str (J.get "ph" e) in
-            let slices = List.filter (fun e -> phase e = Some "X") events in
-            Alcotest.(check int) "64 node lifetime slices" 64 (List.length slices);
+        let _, records = chrome_bfs_64 () in
+        let phase e = J.to_str (J.get "ph" e) in
+        let node_slices =
+          List.filter
+            (fun e ->
+              phase e = Some "X"
+              && match Option.bind (J.member "tid" e) J.to_int with Some t -> t >= 1 | None -> false)
+            records
+        in
+        Alcotest.(check int) "64 node lifetime slices" 64 (List.length node_slices);
+        List.iter
+          (fun e ->
             List.iter
-              (fun e ->
-                List.iter
-                  (fun k ->
-                    if J.member k e = None then
-                      Alcotest.failf "trace event missing %S in %s" k (J.to_string e))
-                  [ "name"; "ph"; "ts"; "pid"; "tid" ])
-              events));
+              (fun k ->
+                if J.member k e = None then
+                  Alcotest.failf "trace event missing %S in %s" k (J.to_string e))
+              [ "name"; "ph"; "ts"; "pid"; "tid" ])
+          records);
+    Alcotest.test_case "Chrome renders each composition once and each round as one slice"
+      `Quick (fun () ->
+        let evs, records = chrome_bfs_64 () in
+        let count_events p = List.length (List.filter p evs) in
+        let count_records p = List.length (List.filter p records) in
+        let named prefix e =
+          match Option.bind (J.member "name" e) J.to_str with
+          | Some n -> String.starts_with ~prefix n
+          | None -> false
+        in
+        let ph e = J.to_str (J.get "ph" e) in
+        Alcotest.(check int) "one compose record per Compose event"
+          (count_events (function E.Compose _ -> true | _ -> false))
+          (count_records (named "compose"));
+        Alcotest.(check int) "one round slice per Round_start"
+          (count_events (function E.Round_start _ -> true | _ -> false))
+          (count_records (fun e -> named "round " e && ph e = Some "X"));
+        check "no span records in a single-run file" true
+          (count_records (fun e -> ph e = Some "b" || ph e = Some "e") = 0));
+    Alcotest.test_case "the kernel emits events only, no spans" `Quick (fun () ->
+        let _, evs = traced_bfs_64 () in
+        check "no Span_start or Span_stop in a traced run" true
+          (List.for_all (function E.Span_start _ | E.Span_stop _ -> false | _ -> true) evs));
     Alcotest.test_case "attaching a trace does not change the run" `Quick (fun () ->
         let g = G.Gen.random_connected (Prng.create 17) 32 0.1 in
         let plain = Engine.run_packed Wb_protocols.Bfs_sync.protocol g Adversary.min_id in
